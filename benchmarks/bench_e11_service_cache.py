@@ -1,6 +1,6 @@
 """E11 — extension: batch service throughput under duplicate-request streams.
 
-Benchmarks the :class:`~repro.service.batch.BatchSolver` on streams with
+Benchmarks ``LabelingService.submit_many`` batches on streams with
 0% / 50% / 90% duplicate graphs (duplicates arrive relabeled, so only the
 canonical form can recognise them).  ``test_experiment_passes`` re-runs the
 claim checks, including the hard acceptance bound: the 90%-dup stream must
@@ -14,8 +14,8 @@ from repro.graphs import generators as gen
 from repro.graphs.operations import relabel
 from repro.harness.experiments import e11_service_cache
 from repro.labeling.spec import L21
-from repro.service.batch import BatchSolver, SolveRequest
-from repro.service.cache import ResultCache
+from repro.service.api import LabelingService
+from repro.service.protocol import SolveRequest
 
 N = 24
 TOTAL = 12
@@ -46,8 +46,7 @@ def test_bench_batch_stream(benchmark, dup_rate):
     stream = make_stream(dup_rate)
 
     def run():
-        solver = BatchSolver(cache=ResultCache(), workers=1)
-        return solver.solve_batch(stream)
+        return LabelingService(workers=1).submit_many(stream)
 
     results, report = benchmark(run)
     assert len(results) == len(stream)
@@ -57,10 +56,9 @@ def test_bench_batch_stream(benchmark, dup_rate):
 def test_bench_warm_cache_stream(benchmark):
     # steady-state serving: every request answered from the warm cache
     stream = make_stream(0.0)
-    cache = ResultCache()
-    solver = BatchSolver(cache=cache, workers=1)
-    solver.solve_batch(stream)
+    svc = LabelingService(workers=1)
+    svc.submit_many(stream)
 
-    results, report = benchmark(lambda: solver.solve_batch(stream))
+    results, report = benchmark(lambda: svc.submit_many(stream))
     assert report.hit_rate == 1.0
     assert all(r.cached for r in results)

@@ -41,8 +41,7 @@ from repro.labeling.labeling import Labeling
 from repro.dynamic import DeltaEngine, full_apsp_refresh_count
 from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
-from repro.service.api import LabelingService, solve_record
-from repro.service.batch import BatchReport, BatchSolver, ServiceResult
+from repro.service.api import BatchReport, LabelingService, solve_record
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.canonical import CanonicalForm, canonical_form
 from repro.service.protocol import SolveRequest, SolveResponse
@@ -95,8 +94,6 @@ __all__ = [
     "LabelingService",
     "solve_record",
     "BatchReport",
-    "BatchSolver",
-    "ServiceResult",
     "SolveRequest",
     "SolveResponse",
     "NetworkServer",

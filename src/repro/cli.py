@@ -203,12 +203,13 @@ def _cmd_batch_dir(args: argparse.Namespace) -> int:
     if not inputs:
         print("no graphs found", file=sys.stderr)
         return 2
-    service = LabelingService(cache_path=args.cache, workers=args.workers)
     requests = [
         SolveRequest(graph=g, spec=spec, engine=args.engine, tag=tag)
         for tag, g in inputs
     ]
-    results, report = service.submit_many(requests)
+    service = LabelingService(cache_path=args.cache, workers=args.workers)
+    with service:
+        results, report = service.submit_many(requests)
     for (tag, graph), result in zip(inputs, results):
         record = solve_record(
             result, graph=graph, spec=spec, include_labels=args.labels, tag=tag

@@ -499,8 +499,8 @@ def e11_service_cache(
     i.e. exactly what every entry point did before the service existed.
     """
     from repro.graphs.operations import relabel
-    from repro.service.batch import BatchSolver, SolveRequest
-    from repro.service.cache import ResultCache
+    from repro.service.api import LabelingService
+    from repro.service.protocol import SolveRequest
 
     engine = "lk"
     rows: list[Sequence[Any]] = []
@@ -524,10 +524,9 @@ def e11_service_cache(
         ]
         t_base = time.perf_counter() - t0
 
-        cache = ResultCache()
-        solver = BatchSolver(cache=cache, workers=1)
+        service = LabelingService(workers=1)
         t0 = time.perf_counter()
-        results, report = solver.solve_batch(stream)
+        results, report = service.submit_many(stream)
         t_batch = time.perf_counter() - t0
 
         feasible = all(

@@ -13,7 +13,7 @@ boundaries:
 - **processes** — a :class:`SpanContext` is a picklable pair of ids, so it
   ships to a pool worker inside the job payload; spans recorded in the
   child are drained, returned as JSON rows, and re-ingested into the
-  parent's tracer (see ``_traced_solve_job`` in the server module).
+  parent's tracer (see ``_worker_main`` in :mod:`repro.parallel.shm_pool`).
 
 Records accumulate in a bounded deque (old spans fall off, the serving
 path can run forever) and drain as dicts or NDJSON — the ``--trace FILE``

@@ -10,8 +10,11 @@ request.  This module replaces it with two cooperating pieces:
   ``multiprocessing.shared_memory`` segment, keyed by canonical cache key.
   Entries are leased (refcounted) while jobs are in flight, LRU-evicted at
   zero refs past capacity, and unlinked deterministically on
-  :meth:`~ShmArena.close` — with an atexit sweep as the backstop, so
-  segments never outlive the process.
+  :meth:`~ShmArena.close` — with an atexit sweep as the backstop, and
+  the pool's workers unlinking what a hard-killed owner left behind, so
+  segments never outlive the process.  (Segments stay out of
+  multiprocessing's resource tracker, which would cost a process of
+  its own; see :func:`_untracked`.)
 - :class:`ShmWorkerPool` — long-lived worker processes fed over pipes.
   Requests cross the boundary as ``(key, params)`` tuples plus a tiny
   picklable :class:`ShmDescriptor`; workers reconstruct the canonical
@@ -33,12 +36,12 @@ ingest.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import glob
 import itertools
 import os
 import threading
 import time
-import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -104,33 +107,62 @@ class ShmDescriptor:
     nbytes: int
 
 
-def _attach_segment(name: str) -> SharedMemory:
-    """Open an existing segment without adopting its lifetime.
+#: Serializes the process-wide resource-tracker swap in :func:`_untracked`.
+#: A forked worker gets a fresh one: the parent may fork while another of
+#: its threads holds the lock, and the child must not inherit it held.
+_TRACKER_LOCK = threading.Lock()
 
-    CPython's resource tracker registers *attaching* processes too
-    (bpo-39959 / gh-82300), so a worker exiting would unlink — or, with a
-    fork-shared tracker, de-register — a segment the parent still owns.
-    Python 3.13 grew ``track=False`` for exactly this; on older
-    interpreters the registration call is suppressed for the duration of
-    the attach (the worker is single-threaded here, so the swap is safe).
+
+def _reset_tracker_lock() -> None:
+    """Fork hook: replace the inherited lock in the child."""
+    global _TRACKER_LOCK
+    _TRACKER_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, nothing inherited
+    os.register_at_fork(after_in_child=_reset_tracker_lock)
+
+
+@contextlib.contextmanager
+def _untracked():
+    """Keep this module's segments out of multiprocessing's resource tracker.
+
+    The tracker is a separate interpreter process (about 14 MiB resident)
+    that the first registration starts, and CPython registers *attaching*
+    processes too (bpo-39959 / gh-82300), so a worker exiting would unlink
+    — or, with a fork-shared tracker, de-register — a segment the parent
+    still owns.  Segment lifetime is owned explicitly here instead:
+    :meth:`ShmArena.close`, the atexit sweep, and the workers' sweep after
+    their owner dies (:func:`_sweep_orphaned`).  While the block runs,
+    shared-memory registrations and de-registrations are skipped (Python
+    3.13's ``track=False``, for every supported interpreter); the swap is
+    process-wide, hence the lock.
     """
-    try:
-        return SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
     from multiprocessing import resource_tracker
 
-    original = resource_tracker.register
+    def skip_shm(call):
+        def skip(name: str, rtype: str) -> None:
+            if rtype != "shared_memory":
+                call(name, rtype)
 
-    def _skip_shm(rname: str, rtype: str) -> None:
-        if rtype != "shared_memory":  # pragma: no cover - nothing else here
-            original(rname, rtype)
+        return skip
 
-    resource_tracker.register = _skip_shm
-    try:
+    with _TRACKER_LOCK:
+        register = resource_tracker.register
+        unregister = resource_tracker.unregister
+        resource_tracker.register = skip_shm(register)
+        resource_tracker.unregister = skip_shm(unregister)
+        try:
+            yield
+        finally:
+            resource_tracker.register = register
+            resource_tracker.unregister = unregister
+
+
+def _attach_segment(name: str) -> SharedMemory:
+    """Open an existing segment without adopting its lifetime."""
+    with _untracked():
         return SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
 
 
 def _views(shm: SharedMemory, descriptor: ShmDescriptor) -> dict[str, np.ndarray]:
@@ -158,9 +190,9 @@ class _ArenaEntry:
 class ShmArena:
     """Refcounted registry of shared-memory segments, keyed by canonical key.
 
-    The owner (one per :class:`~repro.service.server.
-    ConcurrentLabelingService`) publishes each canonical graph's buffers
-    once; jobs lease the entry while in flight.  Eviction only ever takes
+    The owner (one per pooled :class:`~repro.service.executor.
+    SolveExecutor`) publishes each canonical graph's buffers once; jobs
+    lease the entry while in flight.  Eviction only ever takes
     refcount-zero entries (LRU order), ``close()`` unlinks everything, and
     an atexit sweep unlinks whatever a crashed caller left behind —
     ``/dev/shm`` ends every process empty of ``repro_shm_*`` names.
@@ -174,7 +206,6 @@ class ShmArena:
         self._entries: dict[str, _ArenaEntry] = {}  # insertion order = LRU
         self._lock = threading.Lock()
         self._closed = False
-        self._seq = itertools.count()
         _LIVE_ARENAS.add(self)
         # the newest arena owns the liveness gauge (weakly — the gauge
         # never keeps a closed arena alive)
@@ -228,8 +259,11 @@ class ShmArena:
                     (name, arr.dtype.str, tuple(arr.shape), offset)
                 )
                 offset += arr.nbytes
-            segment = f"{SEGMENT_PREFIX}{os.getpid()}_{next(self._seq)}"
-            shm = SharedMemory(name=segment, create=True, size=max(offset, 1))
+            segment = f"{SEGMENT_PREFIX}{os.getpid()}_{next(_SEGMENT_SEQ)}"
+            with _untracked():
+                shm = SharedMemory(
+                    name=segment, create=True, size=max(offset, 1)
+                )
             descriptor = ShmDescriptor(
                 key=key,
                 segment=segment,
@@ -282,6 +316,7 @@ class ShmArena:
             self._closed = True
             entries = list(self._entries.values())
             self._entries.clear()
+        _LIVE_ARENAS.discard(self)
         for entry in entries:
             _unlink(entry.shm)
 
@@ -301,19 +336,33 @@ def _unlink(shm: SharedMemory) -> None:
     except BufferError:  # pragma: no cover - parent keeps no live views
         pass
     try:
-        shm.unlink()
+        with _untracked():
+            shm.unlink()
     except FileNotFoundError:
         pass
 
 
-#: Every arena not yet garbage-collected; the atexit sweep closes them so
-#: an abandoned (never-closed) arena still leaves /dev/shm clean.
-_LIVE_ARENAS: "weakref.WeakSet[ShmArena]" = weakref.WeakSet()
+#: Segment-name sequence, process-wide: two arenas alive at once must
+#: never publish under the same ``repro_shm_<pid>_<n>`` name.
+_SEGMENT_SEQ = itertools.count()
+
+#: Every arena not yet closed, held strongly: an abandoned (never-closed)
+#: arena must survive until the atexit sweep unlinks its segments, not be
+#: garbage-collected with them still in /dev/shm.
+_LIVE_ARENAS: "set[ShmArena]" = set()
+
+#: Every pool not yet shut down.  A pool its owner never shut down must
+#: still stop before multiprocessing's own exit hook terminates the
+#: workers — otherwise the handler threads would see the deaths as crashes
+#: and respawn orphan workers.  Registered after that hook, so it runs first.
+_LIVE_POOLS: "set[ShmWorkerPool]" = set()
 
 
 @atexit.register
-def _sweep_arenas() -> None:
-    """Interpreter-exit backstop: unlink every still-open arena's segments."""
+def _sweep_at_exit() -> None:
+    """Interpreter-exit backstop: stop every live pool, then unlink segments."""
+    for pool in list(_LIVE_POOLS):
+        pool.shutdown()
     for arena in list(_LIVE_ARENAS):
         arena.close()
 
@@ -415,7 +464,7 @@ def _probe_adopted(
     }
 
 
-def _worker_main(conn, max_cached: int) -> None:
+def _worker_main(conn, max_cached: int, parent_end=None) -> None:
     """Worker-process loop: adopt, solve, reply — until the stop sentinel.
 
     Messages in: ``("job", id, descriptor, (key, p, engine), ctx_row)``,
@@ -423,9 +472,18 @@ def _worker_main(conn, max_cached: int) -> None:
     out: ``("ready", pid)`` once, then ``("result", id, ok, payload,
     spans)`` per job.  Failures are shipped back as exception objects;
     the parent re-raises them into the job's future.
+
+    ``parent_end`` is the parent's side of this worker's pipe, which a
+    forked child inherits; it is closed first, so the parent's death (a
+    SIGTERM or SIGKILL that skips shutdown) reaches ``recv`` as EOF and
+    the worker exits instead of lingering as an orphan — after unlinking
+    the dead parent's segments (:func:`_sweep_orphaned`).
     """
     from repro.obs.trace import TRACER, SpanContext
 
+    if parent_end is not None:
+        parent_end.close()
+    owner = os.getppid()
     TRACER.drain()  # a fork-inherited buffer must not replay parent spans
     cache: dict[str, tuple[SharedMemory, object]] = {}
     try:
@@ -433,7 +491,10 @@ def _worker_main(conn, max_cached: int) -> None:
         while True:
             try:
                 msg = conn.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
+            except (EOFError, OSError):
+                _sweep_orphaned(owner)
+                return
+            except KeyboardInterrupt:
                 return
             if msg is None:
                 return
@@ -462,7 +523,8 @@ def _worker_main(conn, max_cached: int) -> None:
                 out = ("result", job_id, False, _portable(exc), ())
             try:
                 conn.send(out)
-            except (BrokenPipeError, OSError):
+            except OSError:  # the parent died while this job ran
+                _sweep_orphaned(owner)
                 return
     finally:
         for entry in cache.values():
@@ -471,6 +533,27 @@ def _worker_main(conn, max_cached: int) -> None:
         try:
             conn.close()
         except OSError:
+            pass
+
+
+def _sweep_orphaned(owner: int) -> None:
+    """Unlink ``owner``'s segments if it died without closing its arenas.
+
+    Called when the pipe hit EOF without the stop sentinel.  The owner's
+    death shows as this process being re-parented (``getppid`` changes,
+    which may lag the EOF briefly); an owner still alive a second later
+    closed the pipe on purpose and keeps its segments.  Sibling workers
+    may sweep concurrently, so a vanished name is fine.
+    """
+    deadline = time.monotonic() + 1.0
+    while os.getppid() == owner:
+        if time.monotonic() > deadline:
+            return
+        time.sleep(0.01)
+    for path in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{owner}_*"):
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
             pass
 
 
@@ -565,13 +648,14 @@ class ShmWorkerPool:
         ]
         for t in self._threads:
             t.start()
+        _LIVE_POOLS.add(self)
 
     def _spawn(self) -> _WorkerHandle:
         """Start one worker process and return its fresh handle."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.graph_cache),
+            args=(child_conn, self.graph_cache, parent_conn),
             daemon=True,
             name="shm-pool-worker",
         )
@@ -791,6 +875,7 @@ class ShmWorkerPool:
                 return
             self._closing = True
             handles = list(self._handles)
+        _LIVE_POOLS.discard(self)
         for handle in handles:
             try:
                 with handle.send_lock:

@@ -9,24 +9,21 @@ Layer map (bottom up):
 * :mod:`repro.service.shard` — the same cache contract split over N
   independently locked shards (the default for services), with
   lock-contention stats the perf baseline gates;
-* :mod:`repro.service.batch` — deduplicating batch solver that shards cache
-  misses across the :mod:`repro.parallel` process pool;
+* :mod:`repro.service.executor` — the one solve executor every request
+  path hands its cache misses to: inline, or on the persistent
+  shared-memory worker pool;
 * :mod:`repro.service.api` — the :class:`LabelingService` facade the session
-  layer and the CLI route through;
+  layer and the CLI route through; ``submit_many`` deduplicates a batch
+  and solves its misses on the executor together;
 * :mod:`repro.service.server` — the :class:`ConcurrentLabelingService`
-  front end: bounded submission queue, worker pool, in-flight dedup,
-  backpressure and graceful shutdown.
+  front end: bounded submission queue, worker threads, in-flight dedup,
+  backpressure and graceful shutdown, over the same executor.
 """
 
-from repro.service.api import LabelingService, solve_record
-from repro.service.batch import (
-    BatchReport,
-    BatchSolver,
-    ServiceResult,
-    SolveRequest,
-)
+from repro.service.api import BatchReport, LabelingService, solve_record
 from repro.service.cache import CachedSolve, CacheStats, ResultCache
 from repro.service.canonical import CanonicalForm, canonical_form, canonical_order
+from repro.service.protocol import SolveRequest, SolveResponse
 from repro.service.server import ConcurrentLabelingService, ServerStats
 from repro.service.shard import ShardedResultCache
 
@@ -34,9 +31,8 @@ __all__ = [
     "LabelingService",
     "solve_record",
     "BatchReport",
-    "BatchSolver",
-    "ServiceResult",
     "SolveRequest",
+    "SolveResponse",
     "CachedSolve",
     "CacheStats",
     "ResultCache",

@@ -23,7 +23,6 @@ which the error table in :mod:`repro.errors` maps to HTTP 400.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ReproError, RequestValidationError
@@ -238,40 +237,3 @@ class SolveResponse:
                 f"malformed SolveResponse payload: {exc}"
             ) from exc
 
-
-def as_request(
-    request,
-    spec: LpSpec | None = None,
-    *,
-    engine: str = "auto",
-    tag: str | None = None,
-    analysis: GraphAnalysis | None = None,
-) -> SolveRequest:
-    """Normalize a ``submit``-style call into one :class:`SolveRequest`.
-
-    The unified protocol form passes a :class:`SolveRequest` as the sole
-    positional argument; the legacy form — ``submit(graph, spec, engine=...,
-    tag=..., analysis=...)`` — still works through this shim but emits a
-    :class:`DeprecationWarning`.  ``stacklevel=3`` points the warning at the
-    caller of ``submit``, not at the shim or ``submit`` itself.
-    """
-    if isinstance(request, SolveRequest):
-        if spec is not None:
-            raise ReproError(
-                "submit(SolveRequest, ...) takes no separate spec — the "
-                "request already carries one"
-            )
-        return request
-    if spec is None:
-        raise ReproError(
-            "submit() needs a SolveRequest, or the legacy (graph, spec) pair"
-        )
-    warnings.warn(
-        "submit(graph, spec, ...) is deprecated; pass a SolveRequest "
-        "(from repro.service.protocol) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveRequest(
-        graph=request, spec=spec, engine=engine, tag=tag, analysis=analysis
-    )

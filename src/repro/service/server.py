@@ -1,8 +1,10 @@
 """Concurrent serving front-end: bounded queue, worker pool, in-flight dedup.
 
 :class:`~repro.service.api.LabelingService` is a call-and-wait facade — one
-request in, one answer out, the caller's thread does the work.  This module
-adds the serving layer the ROADMAP's traffic target needs:
+request (or batch) in, answers out, on the caller's thread.  This module
+adds the serving layer over the same request path — canonical key, cache,
+dedup, tier routing, and the one :class:`~repro.service.executor.
+SolveExecutor` every cache miss runs on:
 
 - **Bounded submission queue** — :meth:`ConcurrentLabelingService.submit`
   enqueues work and returns a :class:`~concurrent.futures.Future`
@@ -10,17 +12,13 @@ adds the serving layer the ROADMAP's traffic target needs:
   or fails fast with :class:`~repro.errors.ServiceOverloadedError`
   (``block=False``), so a burst degrades into latency or explicit rejection
   instead of unbounded memory growth.
-- **Worker pool** — ``workers`` threads drain the queue.  Cold solves are
-  CPU-bound Python, so when the host has more than one effective core the
-  workers offload them to a persistent :class:`ShmWorkerPool` (one
-  long-lived process per worker) and the pool width is the real
-  parallelism; on a single-core host they solve inline and the threads
-  still provide queuing, coalescing and backpressure.  Each canonical
-  graph's distance matrix and CSR adjacency are published **once** into a
-  :class:`ShmArena` shared-memory segment; after that every request
-  crosses the process boundary as a ``(canonical key, p, engine)`` tuple
-  and the worker solves on zero-copy numpy views — no per-request graph
-  pickling, no per-request pool spin-up.
+- **Worker pool** — ``workers`` threads drain the queue and hand each
+  miss to the executor.  Cold solves are CPU-bound Python, so when the
+  host has more than one effective core the executor offloads them to
+  its persistent shared-memory worker pool (one long-lived process per
+  worker thread) and the pool width is the real parallelism; on a
+  single-core host they solve inline and the threads still provide
+  queuing, coalescing and backpressure.
 - **Dedup in flight** — concurrent requests with the same canonical key
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
@@ -57,22 +55,18 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.graphs.analysis import GraphAnalysis, export_buffers, get_analysis
-from repro.graphs.graph import Graph
-from repro.labeling.spec import LpSpec
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER, SpanContext
-from repro.parallel.pool import effective_cpu_count
-from repro.parallel.shm_pool import ShmArena, ShmDescriptor, ShmWorkerPool
 from repro.service.api import LabelingService
-from repro.service.batch import _answer, _composed_key
-from repro.service.protocol import SolveRequest, as_request
 from repro.service.cache import CachedSolve
-from repro.service.canonical import (
-    CanonicalForm,
-    canonical_form,
-    canonical_instance,
+from repro.service.canonical import CanonicalForm, canonical_form
+from repro.service.executor import (
+    SolveExecutor,
+    SolveTask,
+    _answer,
+    _composed_key,
 )
+from repro.service.protocol import SolveRequest
 
 #: Default submission-queue high-water mark.
 DEFAULT_QUEUE_SIZE = 64
@@ -297,12 +291,9 @@ class ServerStats:
 
 
 @dataclass
-class _Job:
+class _Job(SolveTask):
     """One queued unit of work: solve ``request`` and publish under ``key``."""
 
-    key: str
-    request: SolveRequest
-    form: CanonicalForm
     #: Internal future resolving to ``(CachedSolve, cached, seconds)``;
     #: every public future for this key chains off it.
     internal: Future = field(default_factory=Future)
@@ -312,8 +303,6 @@ class _Job:
     #: ``perf_counter`` timestamp taken just before ``queue.put`` — the
     #: queue-wait histogram measures from here to worker pickup.
     enqueued: float = 0.0
-    #: Tier the router picked for this job (``"exact"`` or ``"approx"``).
-    tier: str = "exact"
     #: Absolute ``perf_counter`` deadline; the worker drops the job unsolved
     #: once it passes (``None`` = no deadline).
     deadline: float | None = None
@@ -325,8 +314,8 @@ class ConcurrentLabelingService:
     Parameters
     ----------
     service:
-        The underlying :class:`LabelingService` (owns the cache and the
-        solve policy).  Built with a sharded cache when omitted.
+        The underlying :class:`LabelingService`, whose cache this server
+        shares.  Built with a sharded cache when omitted.
     workers:
         Worker-thread count.  Also the persistent worker-pool width when
         cold solves are offloaded (see ``offload``).
@@ -386,18 +375,12 @@ class ConcurrentLabelingService:
         self._settled = threading.Condition(self._lock)
         self._submitting = 0
         self._closed = False
-        if offload is None:
-            offload = workers > 1 and effective_cpu_count() > 1
+        self.executor = SolveExecutor(
+            workers, offload=offload, start_method=start_method
+        )
         # The pool forks/spawns *before* the worker threads start, so the
         # child processes never inherit a half-started thread's state.
-        if offload:
-            self._arena: ShmArena | None = ShmArena()
-            self._pool: ShmWorkerPool | None = ShmWorkerPool(
-                workers, start_method=start_method
-            )
-        else:
-            self._arena = None
-            self._pool = None
+        self.executor.start()
         # Registry surface: latency histograms are shared process-wide;
         # the queue-depth gauge samples this instance weakly (most recent
         # server owns it); per-worker busy/idle gauges measure the GIL
@@ -464,18 +447,12 @@ class ConcurrentLabelingService:
     # ------------------------------------------------------------------
     def submit(
         self,
-        request: SolveRequest | Graph,
-        spec: LpSpec | None = None,
-        engine: str = "auto",
-        tag: str | None = None,
-        analysis: GraphAnalysis | None = None,
+        request: SolveRequest,
         block: bool | None = None,
         timeout: float | None = None,
     ) -> Future:
         """Enqueue one request; returns a future of its ``SolveResponse``.
 
-        Takes one :class:`SolveRequest` (the legacy ``submit(graph, spec,
-        ...)`` signature still works behind a :class:`DeprecationWarning`).
         The canonical key is derived on the calling thread (the request's
         ``analysis`` forwards a pre-computed oracle exactly like
         :meth:`LabelingService.submit`); everything after that happens on
@@ -489,9 +466,6 @@ class ConcurrentLabelingService:
         :class:`ServiceOverloadedError`.
         """
         t_submit = time.perf_counter()
-        request = as_request(
-            request, spec, engine=engine, tag=tag, analysis=analysis
-        )
         tier = self.router.route(request, self._queue.qsize())
         deadline = (
             t_submit + request.deadline_ms / 1000.0
@@ -574,18 +548,9 @@ class ConcurrentLabelingService:
         )
         return public
 
-    def solve(
-        self,
-        request: SolveRequest | Graph,
-        spec: LpSpec | None = None,
-        engine: str = "auto",
-        tag: str | None = None,
-        analysis: GraphAnalysis | None = None,
-    ):
-        """Blocking convenience: ``submit(...).result()``."""
-        return self.submit(
-            request, spec, engine=engine, tag=tag, analysis=analysis
-        ).result()
+    def solve(self, request: SolveRequest):
+        """Blocking convenience: ``submit(request).result()``."""
+        return self.submit(request).result()
 
     # ------------------------------------------------------------------
     def _deliver(
@@ -602,7 +567,7 @@ class ConcurrentLabelingService:
 
         A ``follower`` (a request that coalesced onto another's in-flight
         solve) reports ``cached=True`` with zero seconds — the same
-        accounting :class:`~repro.service.batch.BatchSolver` uses for
+        accounting :meth:`LabelingService.submit_many` uses for
         in-batch duplicates: no engine ran *for this request*.  Every
         resolution (including errors) lands one end-to-end sample in the
         ``repro_request_seconds`` histogram.
@@ -689,49 +654,8 @@ class ConcurrentLabelingService:
         if entry is not None:
             self._finish(job, entry, cached=True, seconds=0.0)
             return
-        plain = (
-            job.key,
-            job.form.n,
-            job.form.edges,
-            job.request.spec.p,
-            job.request.engine,
-        )
         try:
-            if job.tier == "approx":
-                # the one-pass degraded solver never offloads — a process
-                # hop would cost more than the solve itself
-                entry, seconds = self.service.solver._solve_approx_inline(
-                    job.form, job.request
-                )
-                labels, span = entry.labels, entry.span
-                engine, exact = entry.engine, entry.exact
-                gap = entry.gap
-            elif self._pool is not None:
-                ctx = TRACER.current_context()
-                ctx_row = (
-                    {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
-                    if ctx is not None
-                    else None
-                )
-                descriptor = self._lease_segment(job)
-                try:
-                    _key, labels, span, engine, exact, seconds = (
-                        self._pool.submit(
-                            descriptor,
-                            (job.key, job.request.spec.p, job.request.engine),
-                            ctx_row,
-                        ).result()
-                    )
-                finally:
-                    self._arena.release(job.form.key)
-                gap = None
-            else:
-                _key, labels, span, engine, exact, seconds = (
-                    self.service.solver._solve_inline(
-                        plain, job.form, job.request
-                    )
-                )
-                gap = None
+            [(entry, seconds)] = self.executor.solve([job])
         except BaseException as exc:  # engine failures must reach the waiters
             with self._lock:
                 self._inflight.pop(job.key, None)
@@ -740,28 +664,8 @@ class ConcurrentLabelingService:
             return
         self._m_solve.observe(seconds)
         _TIER_SECONDS[job.tier].observe(seconds)
-        entry = CachedSolve(
-            labels=labels, span=span, engine=engine, exact=exact, gap=gap
-        )
         self.cache.put(job.key, entry)
         self._finish(job, entry, cached=False, seconds=seconds)
-
-    def _lease_segment(self, job: _Job) -> ShmDescriptor:
-        """The job's canonical buffers in shared memory, leased for one solve.
-
-        The first requester of a canonical key pays one permuted-matrix
-        copy (:func:`canonical_instance` reuses the APSP already computed
-        at submit time) and one publish; every later request for the same
-        key — from any worker thread, for the lifetime of the arena entry
-        — crosses the process boundary as the descriptor alone.
-        """
-        descriptor = self._arena.lease(job.form.key)
-        if descriptor is None:
-            canonical = canonical_instance(job.form, job.request.graph)
-            descriptor = self._arena.publish(
-                job.form.key, export_buffers(get_analysis(canonical))
-            )
-        return descriptor
 
     def _finish(
         self, job: _Job, entry: CachedSolve, cached: bool, seconds: float
@@ -784,8 +688,7 @@ class ConcurrentLabelingService:
         process start-up; production callers may skip it — the pool
         buffers submissions until workers come up.
         """
-        if self._pool is not None:
-            self._pool.wait_ready(timeout=timeout)
+        self.executor.wait_ready(timeout=timeout)
 
     # ------------------------------------------------------------------
     def drain(self) -> None:
@@ -844,12 +747,7 @@ class ConcurrentLabelingService:
                     break
                 self._settled.wait(timeout=0.05)
         self._cancel_queued()
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._arena is not None:
-            self._arena.close()  # unlinks every published segment
-            self._arena = None
+        self.executor.close()  # stops the pool, unlinks every segment
 
     def __enter__(self) -> "ConcurrentLabelingService":
         """Context manager: the running service itself."""

@@ -42,7 +42,7 @@ from repro.reduction.validation import analyze
 
 if TYPE_CHECKING:
     from repro.service.api import LabelingService
-    from repro.service.batch import ServiceResult
+    from repro.service.protocol import SolveResponse
     from repro.service.server import ConcurrentLabelingService
 
 
@@ -106,7 +106,7 @@ class LabelingSession:
         self.spec = spec
         self.engine = engine
         self.service = service
-        self._history: list[SolveResult | ServiceResult] = []
+        self._history: list[SolveResult | SolveResponse] = []
         self._engine: DeltaEngine | None = None
         self._resolve()
 
@@ -117,10 +117,10 @@ class LabelingSession:
         return self._graph.copy()
 
     @property
-    def current(self) -> "SolveResult | ServiceResult":
+    def current(self) -> "SolveResult | SolveResponse":
         """The latest solve.
 
-        A plain :class:`SolveResult`, or a :class:`ServiceResult` when the
+        A plain :class:`SolveResult`, or a :class:`SolveResponse` when the
         session routes through a service — the latter has no ``path`` or
         ``reduced`` instance (cache hits never materialize them).
         """
@@ -137,7 +137,7 @@ class LabelingSession:
         return self.current.span
 
     @property
-    def history(self) -> "list[SolveResult | ServiceResult]":
+    def history(self) -> "list[SolveResult | SolveResponse]":
         """Every solve so far (index 0 = initial), as a fresh list."""
         return list(self._history)
 

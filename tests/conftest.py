@@ -85,3 +85,41 @@ def diam2_graphs(rng) -> list[Graph]:
         n = int(rng.integers(6, 10))
         out.append(gen.random_graph_with_diameter_at_most(n, 2, seed=rng))
     return out
+
+
+@pytest.fixture
+def gate_solves():
+    """Factory: wrap an executor's ``solve`` with test gates and counters.
+
+    ``gate_solves(executor, started=, release=, fail=, gate_tag=)`` gates
+    every call carrying a task whose request has ``gate_tag`` (every call
+    when ``None``): ``started`` is set on entry, ``release`` blocks the
+    call until the test sets it, ``fail=True`` raises instead of solving.
+    Returns live ``{"exact": n, "approx": n}`` counts of the tasks the
+    executor was asked to solve.  Wrappers are removed at teardown.
+    """
+    wrapped = []
+
+    def gate(executor, started=None, release=None, fail=False, gate_tag=None):
+        orig = executor.solve
+        counts = {"exact": 0, "approx": 0}
+
+        def solve(tasks):
+            for task in tasks:
+                counts[task.tier] += 1
+            if gate_tag is None or any(t.request.tag == gate_tag for t in tasks):
+                if started is not None:
+                    started.set()
+                if release is not None:
+                    assert release.wait(timeout=30), "test forgot to release"
+                if fail:
+                    raise RuntimeError("injected engine failure")
+            return orig(tasks)
+
+        executor.solve = solve
+        wrapped.append(executor)
+        return counts
+
+    yield gate
+    for executor in wrapped:
+        vars(executor).pop("solve", None)

@@ -35,6 +35,7 @@ from repro.graphs.traversal import (
 from repro.labeling.spec import L21
 from repro.reduction.solver import solve_labeling
 from repro.service.api import LabelingService
+from repro.service.protocol import SolveRequest
 from repro.session import LabelingSession
 
 
@@ -241,7 +242,7 @@ def test_service_submit_computes_apsp_once():
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=17).copy()  # cold
     svc = LabelingService()
     before = apsp_run_count()
-    result = svc.submit(g, L21, engine="held_karp")
+    result = svc.submit(SolveRequest(g, L21, engine="held_karp"))
     assert apsp_run_count() == before + 1
     assert not result.cached
 
@@ -249,7 +250,7 @@ def test_service_submit_computes_apsp_once():
     # for solving (served from cache)
     h = relabel(g, list(reversed(range(g.n))))
     before = apsp_run_count()
-    again = svc.submit(h, L21, engine="held_karp")
+    again = svc.submit(SolveRequest(h, L21, engine="held_karp"))
     assert again.cached and again.span == result.span
     assert apsp_run_count() == before + 1
 

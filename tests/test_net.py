@@ -60,22 +60,6 @@ def get(url, path):
         return response.status, response.headers, response.read()
 
 
-def gated_solver(server, started=None, release=None, gate_tag=None):
-    """Gate the service's inline solve: ``gate_tag`` (or all) requests block."""
-    solver = server.service.service.solver
-    orig = solver._solve_inline
-
-    def gated(plain, form, request):
-        if gate_tag is None or request.tag == gate_tag:
-            if started is not None:
-                started.set()
-            if release is not None:
-                assert release.wait(timeout=30), "test forgot to release"
-        return orig(plain, form, request)
-
-    solver._solve_inline = gated
-
-
 # ---------------------------------------------------------------------------
 # round-trips
 # ---------------------------------------------------------------------------
@@ -160,10 +144,10 @@ def test_inapplicable_instance_maps_to_422():
 # ---------------------------------------------------------------------------
 # the NDJSON batch stream
 # ---------------------------------------------------------------------------
-def test_batch_streams_in_completion_order():
+def test_batch_streams_in_completion_order(gate_solves):
     with make_server() as server:
         release = threading.Event()
-        gated_solver(server, release=release, gate_tag="slow")
+        gate_solves(server.service.executor, release=release, gate_tag="slow")
 
         body = (
             solve_body(graph(3), tag="slow")
@@ -213,11 +197,11 @@ def test_batch_per_request_errors_keep_the_stream_going():
 # ---------------------------------------------------------------------------
 # backpressure
 # ---------------------------------------------------------------------------
-def test_full_queue_maps_overload_to_429():
+def test_full_queue_maps_overload_to_429(gate_solves):
     with make_server(workers=1, queue_size=1) as server:
         url = server.url
         started, release = threading.Event(), threading.Event()
-        gated_solver(server, started=started, release=release)
+        gate_solves(server.service.executor, started=started, release=release)
 
         results = {}
 
@@ -254,11 +238,16 @@ def test_full_queue_maps_overload_to_429():
 # ---------------------------------------------------------------------------
 # graceful drain
 # ---------------------------------------------------------------------------
-def test_graceful_drain_finishes_inflight_and_503s_late_submissions():
+def test_graceful_drain_finishes_inflight_and_503s_late_submissions(
+    gate_solves,
+):
     server = make_server()
     url = server.url
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release, gate_tag="slow")
+    gate_solves(
+        server.service.executor, started=started, release=release,
+        gate_tag="slow",
+    )
 
     # a keep-alive connection opened while the server is healthy
     conn = http.client.HTTPConnection(server.host, server.port, timeout=30)

@@ -282,6 +282,7 @@ class TestServerIntegration:
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
         from repro.obs import TRACER
+        from repro.service.protocol import SolveRequest
         from repro.service.server import ConcurrentLabelingService
 
         TRACER.drain()  # isolate from earlier tests
@@ -289,7 +290,9 @@ class TestServerIntegration:
         server = ConcurrentLabelingService(workers=2, offload=offload)
         try:
             with span("client") as root:
-                server.submit(g, L21, engine="lk").result(timeout=60)
+                server.submit(SolveRequest(g, L21, engine="lk")).result(
+                    timeout=60
+                )
         finally:
             server.shutdown(wait=True)
         return root, TRACER.drain()
@@ -317,12 +320,13 @@ class TestServerIntegration:
     def test_worker_utilization_accounting(self):
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
+        from repro.service.protocol import SolveRequest
         from repro.service.server import ConcurrentLabelingService
 
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=6)
         server = ConcurrentLabelingService(workers=2, offload=False)
         try:
-            server.submit(g, L21, engine="lk").result(timeout=60)
+            server.submit(SolveRequest(g, L21, engine="lk")).result(timeout=60)
             server.drain()
         finally:
             server.shutdown(wait=True)

@@ -42,42 +42,6 @@ def make_server(**kwargs):
     return ConcurrentLabelingService(**kwargs)
 
 
-def gated_solver(server, started=None, release=None):
-    """Event-gate the server's inline exact solve (no sleeps in tests)."""
-    solver = server.service.solver
-    orig = solver._solve_inline
-
-    def gated(job, form, request):
-        if started is not None:
-            started.set()
-        if release is not None:
-            assert release.wait(timeout=10), "test forgot to release the solver"
-        return orig(job, form, request)
-
-    solver._solve_inline = gated
-    return solver
-
-
-def counting_solvers(server):
-    """Count every exact and approx solve the server actually runs."""
-    solver = server.service.solver
-    counts = {"exact": 0, "approx": 0}
-    orig_exact = solver._solve_inline
-    orig_approx = solver._solve_approx_inline
-
-    def exact(job, form, request):
-        counts["exact"] += 1
-        return orig_exact(job, form, request)
-
-    def approx(form, request):
-        counts["approx"] += 1
-        return orig_approx(form, request)
-
-    solver._solve_inline = exact
-    solver._solve_approx_inline = approx
-    return counts
-
-
 def _graphs(count, n=10, start=0):
     return [
         gen.random_graph_with_diameter_at_most(n, 2, seed=start + i)
@@ -129,11 +93,11 @@ def test_wire_codes_for_shedding():
 # ---------------------------------------------------------------------------
 # degradation order under saturation
 # ---------------------------------------------------------------------------
-def test_degradation_order_exact_then_approx_then_429():
+def test_degradation_order_exact_then_approx_then_429(gate_solves):
     graphs = _graphs(4)
     server = make_server(workers=1, queue_size=2)  # approx_depth = 1
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
+    gate_solves(server.executor, started=started, release=release)
     try:
         # idle: auto routes exact; the worker picks it up and blocks
         first = server.submit(SolveRequest(graphs[0], L21, engine=ENGINE))
@@ -164,12 +128,12 @@ def test_degradation_order_exact_then_approx_then_429():
     assert server.stats.rejected == 1
 
 
-def test_saturated_queue_size_1_rejects_after_degrading():
+def test_saturated_queue_size_1_rejects_after_degrading(gate_solves):
     """The minimal server: one slot, one worker — route still precedes 429."""
     graphs = _graphs(3, start=20)
     server = make_server(workers=1, queue_size=1)  # approx_depth = 1
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
+    gate_solves(server.executor, started=started, release=release)
     try:
         first = server.submit(SolveRequest(graphs[0], L21, engine=ENGINE))
         assert started.wait(timeout=10)
@@ -192,12 +156,11 @@ def test_saturated_queue_size_1_rejects_after_degrading():
 # ---------------------------------------------------------------------------
 # deadline drops
 # ---------------------------------------------------------------------------
-def test_expired_deadline_dropped_before_any_solve():
+def test_expired_deadline_dropped_before_any_solve(gate_solves):
     graphs = _graphs(2, start=40)
     server = make_server(workers=1, queue_size=4)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
-    counts = counting_solvers(server)
+    counts = gate_solves(server.executor, started=started, release=release)
     expired_before = REGISTRY.value("repro_router_expired_total")
     try:
         blocker = server.submit(SolveRequest(graphs[0], L21, engine=ENGINE))
@@ -245,18 +208,17 @@ def test_generous_deadline_not_dropped():
 def test_mid_stream_crash_still_resolves_every_public_future():
     graphs = _graphs(6, start=60)
     server = make_server(workers=2, queue_size=8)
-    solver = server.service.solver
-    orig = solver._solve_inline
+    orig = server.executor.solve
     crash_on = {2}  # the third distinct solve dies mid-stream
 
-    def crashing(job, form, request, _seen=[]):
+    def crashing(tasks, _seen=[]):
         idx = len(_seen)
-        _seen.append(form.key)
+        _seen.append(tasks[0].form.key)
         if idx in crash_on:
             raise RuntimeError("injected mid-stream worker crash")
-        return orig(job, form, request)
+        return orig(tasks)
 
-    solver._solve_inline = crashing
+    server.executor.solve = crashing
     try:
         futures = [
             server.submit(SolveRequest(g, L21, engine=ENGINE)) for g in graphs

@@ -23,37 +23,20 @@ from repro.errors import (
 from repro.graphs import generators as gen
 from repro.graphs.operations import relabel
 from repro.labeling.spec import L21
+from repro.service.protocol import SolveRequest
 from repro.service.server import ConcurrentLabelingService
 from repro.session import LabelingSession
 
 ENGINE = "nearest_neighbor"  # cheapest engine: these tests exercise plumbing
 
 
+def req(graph, engine=ENGINE):
+    return SolveRequest(graph, L21, engine=engine)
+
+
 def make_server(**kwargs):
     kwargs.setdefault("offload", False)  # deterministic inline solves
     return ConcurrentLabelingService(**kwargs)
-
-
-def gated_solver(server, started=None, release=None, fail=False):
-    """Wrap the server's inline solve with test gates.
-
-    ``started`` is set when a worker enters a solve; ``release`` blocks it
-    until the test is ready; ``fail=True`` raises instead of solving.
-    """
-    solver = server.service.solver
-    orig = solver._solve_inline
-
-    def gated(job, form, request):
-        if started is not None:
-            started.set()
-        if release is not None:
-            assert release.wait(timeout=10), "test forgot to release the solver"
-        if fail:
-            raise RuntimeError("injected engine failure")
-        return orig(job, form, request)
-
-    solver._solve_inline = gated
-    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +56,7 @@ def test_hammer_no_duplicate_solves_and_consistent_shards():
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = list(
             pool.map(
-                lambda item: (item[0], server.submit(item[1], L21, engine=ENGINE)),
+                lambda item: (item[0], server.submit(req(item[1]))),
                 requests,
             )
         )
@@ -111,16 +94,16 @@ def test_hammer_no_duplicate_solves_and_consistent_shards():
 # ---------------------------------------------------------------------------
 # dedup / coalescing
 # ---------------------------------------------------------------------------
-def test_concurrent_identical_requests_coalesce_onto_one_solve():
+def test_concurrent_identical_requests_coalesce_onto_one_solve(gate_solves):
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=3)
     server = make_server(workers=1, queue_size=8)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
+    gate_solves(server.executor, started=started, release=release)
 
-    first = server.submit(g.copy(), L21, engine=ENGINE)
+    first = server.submit(req(g.copy()))
     assert started.wait(timeout=10)  # worker is inside the (gated) solve
     # these arrive while the identical solve is in flight -> coalesce
-    dupes = [server.submit(g.copy(), L21, engine=ENGINE) for _ in range(5)]
+    dupes = [server.submit(req(g.copy())) for _ in range(5)]
     release.set()
     spans = {f.result().span for f in [first, *dupes]}
     server.shutdown(wait=True)
@@ -129,16 +112,16 @@ def test_concurrent_identical_requests_coalesce_onto_one_solve():
     assert server.stats.coalesced == 5
 
 
-def test_coalesced_results_translate_to_each_callers_order():
+def test_coalesced_results_translate_to_each_callers_order(gate_solves):
     base = gen.random_graph_with_diameter_at_most(10, 2, seed=4)
     other = relabel(base, list(reversed(range(base.n))))
     server = make_server(workers=1, queue_size=8)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
+    gate_solves(server.executor, started=started, release=release)
 
-    f1 = server.submit(base, L21, engine=ENGINE)
+    f1 = server.submit(req(base))
     assert started.wait(timeout=10)
-    f2 = server.submit(other, L21, engine=ENGINE)  # isomorphic, in flight
+    f2 = server.submit(req(other))  # isomorphic, in flight
     release.set()
     r1, r2 = f1.result(), f2.result()
     server.shutdown(wait=True)
@@ -158,18 +141,18 @@ def _distinct_graphs(count, n=10):
     ]
 
 
-def test_nonblocking_submit_rejects_past_high_water():
+def test_nonblocking_submit_rejects_past_high_water(gate_solves):
     graphs = _distinct_graphs(4)
     server = make_server(workers=1, queue_size=2, block=False)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
+    gate_solves(server.executor, started=started, release=release)
     try:
-        server.submit(graphs[0], L21, engine=ENGINE)
+        server.submit(req(graphs[0]))
         assert started.wait(timeout=10)  # slot 0 is on the worker, not queued
-        server.submit(graphs[1], L21, engine=ENGINE)
-        server.submit(graphs[2], L21, engine=ENGINE)  # queue now full
+        server.submit(req(graphs[1]))
+        server.submit(req(graphs[2]))  # queue now full
         with pytest.raises(ServiceOverloadedError):
-            server.submit(graphs[3], L21, engine=ENGINE)
+            server.submit(req(graphs[3]))
         assert server.stats.rejected == 1
     finally:
         release.set()
@@ -201,14 +184,14 @@ def test_rejected_owner_propagates_overload_to_followers(monkeypatch):
 
     def owner():
         try:
-            server.submit(g.copy(), L21, engine=ENGINE)
+            server.submit(req(g.copy()))
         except ServiceOverloadedError as exc:
             owner_error.append(exc)
 
     t = threading.Thread(target=owner)
     t.start()
     assert in_put.wait(timeout=10)  # owner registered in-flight, now in put
-    follower = server.submit(g.copy(), L21, engine=ENGINE)  # coalesces
+    follower = server.submit(req(g.copy()))  # coalesces
     proceed.set()
     t.join()
     assert owner_error, "owner must see the synchronous rejection"
@@ -218,18 +201,18 @@ def test_rejected_owner_propagates_overload_to_followers(monkeypatch):
     server.shutdown(wait=True)
 
 
-def test_blocking_submit_times_out_then_succeeds_after_drain():
+def test_blocking_submit_times_out_then_succeeds_after_drain(gate_solves):
     graphs = _distinct_graphs(4)
     server = make_server(workers=1, queue_size=1)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
-    server.submit(graphs[0], L21, engine=ENGINE)
+    gate_solves(server.executor, started=started, release=release)
+    server.submit(req(graphs[0]))
     assert started.wait(timeout=10)
-    server.submit(graphs[1], L21, engine=ENGINE)  # fills the queue
+    server.submit(req(graphs[1]))  # fills the queue
     with pytest.raises(ServiceOverloadedError):
-        server.submit(graphs[2], L21, engine=ENGINE, timeout=0.05)
+        server.submit(req(graphs[2]), timeout=0.05)
     release.set()
-    fut = server.submit(graphs[3], L21, engine=ENGINE)  # space freed
+    fut = server.submit(req(graphs[3]))  # space freed
     assert fut.result().span > 0
     server.shutdown(wait=True)
 
@@ -240,22 +223,22 @@ def test_blocking_submit_times_out_then_succeeds_after_drain():
 def test_graceful_shutdown_drains_queue():
     graphs = _distinct_graphs(6)
     server = make_server(workers=2, queue_size=8)
-    futures = [server.submit(g, L21, engine=ENGINE) for g in graphs]
+    futures = [server.submit(req(g)) for g in graphs]
     server.shutdown(wait=True)
     assert all(f.result().span > 0 for f in futures)
     assert server.stats.completed == len(graphs)
     with pytest.raises(ServiceClosedError):
-        server.submit(graphs[0], L21, engine=ENGINE)
+        server.submit(req(graphs[0]))
 
 
-def test_abort_shutdown_cancels_nonempty_queue():
+def test_abort_shutdown_cancels_nonempty_queue(gate_solves):
     graphs = _distinct_graphs(5)
     server = make_server(workers=1, queue_size=8)
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release)
-    running = server.submit(graphs[0], L21, engine=ENGINE)
+    gate_solves(server.executor, started=started, release=release)
+    running = server.submit(req(graphs[0]))
     assert started.wait(timeout=10)  # worker busy; the rest stays queued
-    queued = [server.submit(g, L21, engine=ENGINE) for g in graphs[1:]]
+    queued = [server.submit(req(g)) for g in graphs[1:]]
     assert server.queue_depth() == len(queued)
 
     release.set()
@@ -268,41 +251,40 @@ def test_abort_shutdown_cancels_nonempty_queue():
     assert server.stats.cancelled == len(queued)
     assert server.queue_depth() == 0
     with pytest.raises(ServiceClosedError):
-        server.submit(graphs[0], L21, engine=ENGINE)
+        server.submit(req(graphs[0]))
     server.shutdown(wait=True)  # idempotent
 
 
 def test_drain_is_a_checkpoint_not_a_shutdown():
     graphs = _distinct_graphs(3)
     server = make_server(workers=2, queue_size=8)
-    futures = [server.submit(g, L21, engine=ENGINE) for g in graphs]
+    futures = [server.submit(req(g)) for g in graphs]
     server.drain()
     assert all(f.done() for f in futures)
     # intake still open
-    assert server.submit(graphs[0], L21, engine=ENGINE).result().cached
+    assert server.submit(req(graphs[0])).result().cached
     server.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------
 # failure paths and integration
 # ---------------------------------------------------------------------------
-def test_engine_failure_reaches_every_waiter():
+def test_engine_failure_reaches_every_waiter(gate_solves):
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=9)
     server = make_server(workers=1, queue_size=8)
-    orig = server.service.solver._solve_inline
     started, release = threading.Event(), threading.Event()
-    gated_solver(server, started=started, release=release, fail=True)
-    f1 = server.submit(g.copy(), L21, engine=ENGINE)
+    gate_solves(server.executor, started=started, release=release, fail=True)
+    f1 = server.submit(req(g.copy()))
     assert started.wait(timeout=10)
-    f2 = server.submit(g.copy(), L21, engine=ENGINE)  # coalesced waiter
+    f2 = server.submit(req(g.copy()))  # coalesced waiter
     release.set()
     for f in (f1, f2):
         with pytest.raises(RuntimeError, match="injected engine failure"):
             f.result(timeout=10)
     assert server.stats.errors == 1
     # the failure is not cached: a retry solves cleanly
-    server.service.solver._solve_inline = orig
-    assert server.submit(g.copy(), L21, engine=ENGINE).result().span > 0
+    del server.executor.solve  # lift the failure gate
+    assert server.submit(req(g.copy())).result().span > 0
     server.shutdown(wait=True)
 
 
@@ -311,12 +293,12 @@ def test_process_offload_path_solves_correctly():
     # feasibility must be indistinguishable from inline solving
     g1, g2 = _distinct_graphs(2)
     with ConcurrentLabelingService(workers=2, offload=True) as server:
-        r1 = server.submit(g1, L21, engine=ENGINE).result()
-        r2 = server.submit(g2, L21, engine=ENGINE).result()
+        r1 = server.submit(req(g1)).result()
+        r2 = server.submit(req(g2)).result()
     r1.labeling.require_feasible(g1, L21)
     r2.labeling.require_feasible(g2, L21)
     inline = ConcurrentLabelingService(workers=1, offload=False)
-    assert inline.submit(g1, L21, engine=ENGINE).result().span == r1.span
+    assert inline.submit(req(g1)).result().span == r1.span
     inline.shutdown(wait=True)
 
 
@@ -330,10 +312,10 @@ def test_constructor_validation():
 def test_submit_returns_future_and_fast_path_hits():
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=11)
     with make_server(workers=2) as server:
-        first = server.submit(g.copy(), L21, engine=ENGINE)
+        first = server.submit(req(g.copy()))
         assert isinstance(first, Future)
         assert not first.result().cached
-        again = server.submit(g.copy(), L21, engine=ENGINE)
+        again = server.submit(req(g.copy()))
         res = again.result()
         assert res.cached and res.seconds == 0.0
         assert server.stats.hits >= 1
@@ -365,6 +347,6 @@ def test_single_worker_matches_multi_worker_results():
     spans = []
     for workers in (1, 3):
         with make_server(workers=workers) as server:
-            futures = [server.submit(g, L21, engine="lk") for g in stream]
+            futures = [server.submit(req(g, engine="lk")) for g in stream]
             spans.append([f.result().span for f in futures])
     assert spans[0] == spans[1]

@@ -32,6 +32,7 @@ from repro.parallel.shm_pool import (
     _views,
 )
 from repro.reduction.solver import solve_labeling
+from repro.service.protocol import SolveRequest
 
 from repro.parallel.shm_pool import live_segment_names as repro_shm_segments
 
@@ -136,6 +137,12 @@ class TestShmArena:
     def test_lease_returns_none_for_unknown_key(self):
         with ShmArena() as arena:
             assert arena.lease("never-published") is None
+
+    def test_two_live_arenas_publish_distinct_segments(self):
+        with ShmArena() as first, ShmArena() as second:
+            d1, _ = publish(first, "k0")
+            d2, _ = publish(second, "k0")
+            assert d1.segment != d2.segment
 
     def test_bytes_published_counter(self):
         from repro.obs.metrics import REGISTRY
@@ -293,6 +300,50 @@ class TestWorkerDeath:
         assert descriptor.segment not in repro_shm_segments()
 
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs /proc and /dev/shm"
+    )
+    def test_killed_owner_workers_exit_and_unlink_its_segments(self):
+        """A SIGKILLed pool owner leaves no workers and no segments behind."""
+        import subprocess
+        import sys
+
+        owner_code = (
+            "import sys\n"
+            "from repro.graphs import generators as gen\n"
+            "from repro.graphs.analysis import export_buffers, get_analysis\n"
+            "from repro.parallel.shm_pool import ShmArena, ShmWorkerPool\n"
+            "arena = ShmArena()\n"
+            "g = gen.random_graph_with_diameter_at_most(10, 2, seed=7)\n"
+            "d = arena.publish('k0', export_buffers(get_analysis(g)))\n"
+            "pool = ShmWorkerPool(2, start_method='fork')\n"
+            "pool.probe(d).result(timeout=60)\n"
+            "print(d.segment, *pool.worker_pids(), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", owner_code],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ) as owner:
+            try:
+                segment, *workers = owner.stdout.readline().split()
+                assert segment in repro_shm_segments()
+            finally:
+                owner.kill()
+        def running(pid):  # a reaped or zombie worker has exited
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while segment in repro_shm_segments() or any(map(running, workers)):
+            assert time.monotonic() < deadline, "orphans or segment left"
+            time.sleep(0.05)
+
+
 class TestServerIntegration:
     """The serving front end on the pool: correctness + lifecycle."""
 
@@ -303,9 +354,9 @@ class TestServerIntegration:
         inline = solve_labeling(graph, LpSpec(SPEC), engine=ENGINE)
         with ConcurrentLabelingService(workers=2, offload=True) as server:
             server.prewarm()
-            result = server.submit(graph, LpSpec(SPEC), engine=ENGINE).result(
-                timeout=60
-            )
+            result = server.submit(
+                SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
+            ).result(timeout=60)
             assert result.span == inline.span
         assert not [
             s for s in repro_shm_segments()
@@ -321,15 +372,15 @@ class TestServerIntegration:
         before = REGISTRY.value("repro_shm_bytes_published_total")
         with ConcurrentLabelingService(workers=2, offload=True) as server:
             server.prewarm()
-            base = server.submit(graph, LpSpec(SPEC), engine=ENGINE).result(
-                timeout=60
-            )
+            base = server.submit(
+                SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
+            ).result(timeout=60)
             # isomorphic repeats: canonical key identical -> cache hits,
             # no new segment; a *forced* cold re-solve of a permuted copy
             # would also reuse the published segment via the arena lease
             permuted = relabel(graph, list(reversed(range(graph.n))))
             again = server.submit(
-                permuted, LpSpec(SPEC), engine=ENGINE
+                SolveRequest(permuted, LpSpec(SPEC), engine=ENGINE)
             ).result(timeout=60)
             assert again.span == base.span
         published = REGISTRY.value("repro_shm_bytes_published_total") - before
