@@ -180,6 +180,23 @@ MATRIX: dict[str, MatrixLeg] = {
 }
 
 
+#: The certify-first legs the ``cold_ladder`` perf scenario sweeps: the
+#: Corollary-2 families (diameter-2 random, split, cograph) under L(2,1)
+#: and diameter 3 under L(2,1,1), at sizes past Held-Karp's range so every
+#: certificate comes from the ``auto`` ladder's early stops.  Cographs are
+#: the control: their optimum sits above the lower bound, so they run the
+#: full LK search.
+LADDER: dict[str, MatrixLeg] = {
+    leg.name: leg
+    for leg in (
+        MatrixLeg("ladder-diam2", "diam2", (16, 32, 48), (0, 1)),
+        MatrixLeg("ladder-split", "split", (16, 32, 48), (0, 1)),
+        MatrixLeg("ladder-diam3", "diam3", (16, 32, 48), (0, 1), spec=(2, 1, 1)),
+        MatrixLeg("ladder-cograph", "cograph", (16, 32, 48), (0, 1)),
+    )
+}
+
+
 def matrix_sweep(leg: str | MatrixLeg) -> list[Workload]:
     """Instantiate every workload of one named matrix leg."""
     if isinstance(leg, str):

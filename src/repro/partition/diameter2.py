@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ReductionNotApplicableError
 from repro.graphs.analysis import get_analysis
 from repro.graphs.graph import Graph
@@ -31,7 +33,7 @@ from repro.partition.paths_partition import (
     partition_into_paths_greedy,
 )
 from repro.reduction.from_tour import labeling_from_order
-from repro.reduction.to_tsp import reduce_to_path_tsp
+from repro.reduction.to_tsp import ReducedInstance, reduce_to_path_tsp
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,22 @@ def span_from_path_count(n: int, p: int, q: int, s: int) -> int:
 
 
 def solve_lpq_diameter2(
-    graph: Graph, spec: LpSpec, method: str = "exact"
+    graph: Graph,
+    spec: LpSpec,
+    method: str = "exact",
+    seed: int | np.random.Generator | None = None,
+    reduced: ReducedInstance | None = None,
+    verify: bool = True,
 ) -> Diameter2Result:
     """Solve ``L(p, q)`` on a diameter-<=2 graph through PARTITION INTO PATHS.
 
     ``method`` is ``"exact"`` (bitmask DP, certificate-checked) or
-    ``"greedy"`` (upper bound).  Raises
+    ``"greedy"`` (upper bound; ``seed`` fixes its random tie-breaking, so
+    a given seed always returns the same partition).  ``reduced`` forwards
+    the Theorem-2 reduction of ``(graph, spec)`` when the caller already
+    holds it, so the pipeline neither reduces again nor recomputes
+    distances.  ``verify=False`` skips re-checking the labeling against the
+    graph, for callers that verify whichever answer they keep.  Raises
     :class:`ReductionNotApplicableError` when ``spec`` is not 2-dimensional,
     the graph has diameter > 2, or ``p_max > 2 p_min``.
 
@@ -95,7 +107,10 @@ def solve_lpq_diameter2(
         return Diameter2Result(Labeling(()), 0, 0, [], False, True)
     # one shared analysis: connectivity (single BFS), diameter, and the
     # reduction below all read the same oracle — one APSP for the pipeline
-    analysis = get_analysis(graph)
+    if reduced is not None and reduced.analysis is not None:
+        analysis = reduced.analysis
+    else:
+        analysis = get_analysis(graph)
     if not analysis.is_connected:
         raise ReductionNotApplicableError("Corollary 2 needs a connected graph")
     if n > 1 and analysis.diameter > 2:
@@ -109,7 +124,7 @@ def solve_lpq_diameter2(
         s, paths = partition_into_paths_exact(target)
         exact = True
     elif method == "greedy":
-        s, paths = partition_into_paths_greedy(target)
+        s, paths = partition_into_paths_greedy(target, seed=seed)
         exact = False
     else:
         raise ReductionNotApplicableError(f"unknown method {method!r}")
@@ -122,9 +137,12 @@ def solve_lpq_diameter2(
     # re-verified, so the reported span is always achieved.
     order = [v for path in paths for v in path]
 
-    red = reduce_to_path_tsp(graph, spec, analysis=analysis)
+    red = reduced
+    if red is None:
+        red = reduce_to_path_tsp(graph, spec, analysis=analysis)
     labeling = labeling_from_order(red, order)
-    labeling.require_feasible(graph, spec, dist=red.distances)
+    if verify:
+        labeling.require_feasible(graph, spec, dist=red.distances)
 
     formula = span_from_path_count(n, p, q, s)
     span = labeling.span

@@ -5,7 +5,8 @@ the vectorized-APSP win and the one-APSP-per-solve invariant (E12), the
 service cache's duplicate-stream speedup (E11), the dynamic engine's
 churn-stream win (E13), the concurrent front end's serving throughput
 over the SERVICE hot/cold streams (E14), the Theorem-2 reduction
-and end-to-end engine cost over the named workload matrix — and returns a
+and end-to-end engine cost over the named workload matrix, the
+certify-first ``auto`` ladder over the LADDER legs — and returns a
 :class:`~repro.perf.schema.PerfRecord` with per-repeat wall times plus the
 scenario's counters (``apsp_run_count``, cache-hit stats, spans/ratios).
 ``run_perf_suite`` strings the records into a schema-versioned
@@ -38,6 +39,7 @@ from repro.dynamic import full_apsp_refresh_count
 from repro.harness.runner import run_engines
 from repro.harness.workloads import (
     DYNAMIC,
+    LADDER,
     MATRIX,
     SERVICE,
     churn_maintain,
@@ -296,6 +298,55 @@ def engine_sweep_scenario(repeats: int) -> PerfRecord:
             "engines": len(engines),
             "runs": len(runs),
             "lk_mean_ratio": round(float(np.mean(lk_ratios)), 4),
+        },
+    )
+
+
+def cold_ladder_scenario(repeats: int) -> PerfRecord:
+    """Certify-first ``auto`` solving over the :data:`LADDER` legs.
+
+    Each repeat solves every leg instance cold (a fresh graph copy) with
+    ``engine="auto"``.  ``wall_seconds`` times the whole pass; metrics
+    carry the two gated signals — ``certified_rate``, the share of answers
+    proven optimal (``SolveResult.exact``: Corollary 2 or LK meeting the
+    lower bound, or Held-Karp), deterministic for the fixed legs, and
+    ``cold_solve_p50_ms``, the median single solve over every repeat — plus
+    the share of answers from each engine.
+    """
+    from repro.labeling.spec import LpSpec
+    from repro.reduction.solver import solve_labeling
+
+    cases = [
+        (wl.graph, LpSpec(leg.spec))
+        for leg in LADDER.values() for wl in leg.workloads()
+    ]
+    solve_ms: list[float] = []
+    results: list = []
+
+    def run_pass() -> None:
+        """Solve every case once from a cold graph copy."""
+        nonlocal results
+        results = []
+        for graph, spec in cases:
+            g = graph.copy()
+            t0 = time.perf_counter()
+            results.append(solve_labeling(g, spec))
+            solve_ms.append((time.perf_counter() - t0) * 1e3)
+
+    walls = _timed_repeats(run_pass, repeats)
+    solve_ms = solve_ms[len(cases):]  # drop the warm-up pass
+    engines = sorted({r.engine for r in results})
+    return PerfRecord(
+        experiment="cold_ladder",
+        wall_seconds=walls,
+        metrics={
+            "solves": len(cases),
+            "certified_rate": round(sum(r.exact for r in results) / len(cases), 4),
+            "cold_solve_p50_ms": round(statistics.median(solve_ms), 3),
+            **{
+                f"{e}_share": round(sum(r.engine == e for r in results) / len(cases), 4)
+                for e in engines
+            },
         },
     )
 
@@ -695,6 +746,7 @@ def run_perf_suite(
         concurrent_service_scenario(quick, repeats),
         network_service_scenario(quick, repeats),
         qos_overload_scenario(quick, repeats),
+        cold_ladder_scenario(repeats),
     ]
     records.extend(
         reduction_leg_scenario(leg, repeats)

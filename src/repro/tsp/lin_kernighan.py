@@ -26,6 +26,7 @@ def lk_style_path(
     kicks: int = 20,
     seed: int | np.random.Generator | None = None,
     start: HamPath | None = None,
+    target: float | None = None,
 ) -> HamPath:
     """Chained LK-style search: descent + ``kicks`` double-bridge restarts.
 
@@ -39,6 +40,11 @@ def lk_style_path(
     start:
         Optional warm-start path; by default the better of greedy-edge and
         nearest-neighbour construction.
+    target:
+        A known lower bound on the optimum.  The search stops as soon as
+        its best path weighs no more than ``target`` (before any kick when
+        the first descent reaches it), since no kick can then improve it.
+        ``None`` runs every kick.
 
     >>> inst = TSPInstance.random_metric(12, seed=3)
     >>> p = lk_style_path(inst, kicks=5, seed=0)
@@ -57,6 +63,8 @@ def lk_style_path(
     best = _descend(instance, start)
     cur = best
     for _ in range(kicks):
+        if target is not None and best.length <= target + _EPS:
+            break
         kicked = _double_bridge(instance, cur, rng)
         improved = _descend(instance, kicked)
         # accept-if-better (keeps the chain anchored at the incumbent)

@@ -2,9 +2,9 @@
 
 All moves are specialized to the *path* objective (no wrap-around edge), with
 the segment-touches-endpoint cases handled separately — a subtle point that
-cycle-oriented implementations get wrong.  The 2-opt inner loop is fully
-vectorized (one ``O(n^2)`` NumPy kernel per improvement step), per the
-hpc-parallel guides.
+cycle-oriented implementations get wrong.  The 2-opt and Or-opt inner
+loops are vectorized (one NumPy kernel per improvement step, Or-opt's in
+bounded blocks of segment starts), per the hpc-parallel guides.
 """
 
 from __future__ import annotations
@@ -112,49 +112,67 @@ def or_opt_path(
     return HamPath.from_order(instance, order)
 
 
+#: Candidate moves scored per Or-opt kernel call: segment starts are taken
+#: in blocks of ``_OR_OPT_BLOCK // (n - L + 1)`` so memory stays bounded at
+#: large ``n`` and an early improving segment ends the scan early.
+_OR_OPT_BLOCK = 1 << 14
+
+
 def _first_or_opt_move(w: np.ndarray, order: list[int], L: int) -> list[int] | None:
-    """First improving relocation of a length-``L`` segment, or ``None``."""
-    n = len(order)
+    """First improving relocation of a length-``L`` segment, or ``None``.
 
-    def edge(u: int, v: int) -> float:
-        """Weight of the tour edge between positions ``u`` and ``v``."""
-        return float(w[order[u], order[v]])
-
-    for i in range(n - L + 1):
-        j = i + L - 1  # segment is order[i..j]
-        # cost removed when the segment is excised
-        left, right = i - 1, j + 1
-        removed = 0.0
-        if left >= 0:
-            removed += edge(left, i)
-        if right <= n - 1:
-            removed += edge(j, right)
-        bridge = edge(left, right) if (left >= 0 and right <= n - 1) else 0.0
-        gain_remove = removed - bridge
-        if gain_remove <= _EPS:
+    Scan order (and so the move returned) is segment start ``i`` ascending,
+    then insertion gap ``pos`` of the remaining path ascending, then the
+    forward before the reversed orientation.  Every candidate of a block of
+    segment starts is scored in one NumPy expression; the deltas are
+    summed in the same order as a per-candidate loop would, so the first
+    improving candidate — and hence every tour — is bit-identical to it.
+    """
+    o = np.asarray(order, dtype=np.intp)
+    n = len(o)
+    m = n - L  # length of the path with the segment excised
+    pos = np.arange(m + 1)  # insertion gaps of the excised path
+    has_prev, has_next = pos > 0, pos < m
+    inner = has_prev & has_next
+    rows = max(1, _OR_OPT_BLOCK // (m + 1))
+    for lo in range(0, m + 1, rows):
+        i = np.arange(lo, min(lo + rows, m + 1))  # segment is o[i..j]
+        j = i + L - 1
+        left, right = i > 0, j < n - 1
+        s0, s1 = o[i], o[j]
+        before, after = o[i - 1], o[np.minimum(j + 1, n - 1)]
+        # cost removed when the segment is excised, net of the new bridge
+        removed = np.where(left, w[before, s0], 0.0) + np.where(right, w[s1, after], 0.0)
+        gain_remove = removed - np.where(left & right, w[before, after], 0.0)
+        live = gain_remove > _EPS
+        if not live.any():
             continue
-        rest = order[:i] + order[j + 1 :]
-        seg = order[i : j + 1]
-        # try inserting seg (both orientations) at every gap of `rest`
-        for pos in range(len(rest) + 1):
-            if pos == i:  # same place, same orientation = identity
-                candidates = (seg[::-1],) if L > 1 else ()
-            else:
-                candidates = (seg, seg[::-1]) if L > 1 else (seg,)
-            for s in candidates:
-                add = 0.0
-                if pos > 0:
-                    add += float(w[rest[pos - 1], s[0]])
-                if pos < len(rest):
-                    add += float(w[s[-1], rest[pos]])
-                bridge_removed = (
-                    float(w[rest[pos - 1], rest[pos]])
-                    if 0 < pos < len(rest)
-                    else 0.0
-                )
-                delta = add - bridge_removed - gain_remove
-                if delta < -_EPS:
-                    return rest[:pos] + s + rest[pos:]
+        # rest[k] = o[k] before the segment, o[k + L] after it
+        k = np.arange(m)
+        rest = o[k[None, :] + L * (k[None, :] >= i[:, None])]
+        prev = rest[:, np.maximum(pos - 1, 0)]
+        nxt = rest[:, np.minimum(pos, m - 1)]
+        bridge = np.where(inner, w[prev, nxt], 0.0)
+        col0, col1 = s0[:, None], s1[:, None]
+        add_fwd = np.where(has_prev, w[prev, col0], 0.0) + np.where(has_next, w[col1, nxt], 0.0)
+        add_rev = np.where(has_prev, w[prev, col1], 0.0) + np.where(has_next, w[col0, nxt], 0.0)
+        delta = np.stack(
+            (add_fwd - bridge - gain_remove[:, None], add_rev - bridge - gain_remove[:, None]),
+            axis=-1,
+        )
+        ok = (delta < -_EPS) & live[:, None, None]
+        # forward at gap `pos == i` is the identity; a reversed single
+        # vertex is the forward move again
+        ok[:, :, 0] &= pos[None, :] != i[:, None]
+        if L == 1:
+            ok[:, :, 1] = False
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            r, p, rev = (int(x) for x in np.unravel_index(int(hits[0]), ok.shape))
+            a = int(i[r])
+            seg = order[a : a + L]
+            kept = order[:a] + order[a + L :]
+            return kept[:p] + (seg[::-1] if rev else seg) + kept[p:]
     return None
 
 

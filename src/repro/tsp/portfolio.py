@@ -68,9 +68,9 @@ def _anneal(inst: TSPInstance) -> HamPath:
     return simulated_annealing_path(inst, seed=0)
 
 
-def _lk(inst: TSPInstance) -> HamPath:
+def _lk(inst: TSPInstance, target: float | None = None, kicks: int = 20) -> HamPath:
     """Engine: LK-style iterated local search (20 kicks)."""
-    return lk_style_path(inst, kicks=20, seed=0)
+    return lk_style_path(inst, kicks=kicks, seed=0, target=target)
 
 
 def _lk_long(inst: TSPInstance) -> HamPath:
@@ -98,8 +98,13 @@ ENGINES: dict[str, PathEngine] = {
     "best_nearest_neighbor": best_nearest_neighbor_path,
 }
 
-#: engines guaranteed to return the optimum
+#: engines guaranteed to return the optimum.  A labeling solve reports
+#: ``exact`` for these, and for any other engine whose span meets the
+#: lower bound (:attr:`repro.reduction.solver.SolveResult.exact`).
 EXACT_ENGINES = ("held_karp", "branch_bound")
+
+#: largest instance ``auto`` hands to Held–Karp
+HELD_KARP_MAX_N = 15
 
 #: engines with a proven worst-case ratio on metric inputs
 GUARANTEED_ENGINES = {"hoogeveen": 1.5, "christofides_path": 2.0, "double_tree": 2.0}
@@ -117,12 +122,23 @@ def get_engine(name: str) -> PathEngine:
         ) from None
 
 
-def solve_path(instance: TSPInstance, engine: str = "auto") -> HamPath:
+def solve_path(
+    instance: TSPInstance,
+    engine: str = "auto",
+    target: float | None = None,
+    kicks: int | None = None,
+) -> HamPath:
     """Solve path TSP with the named engine; ``auto`` = exact when small.
 
     ``auto`` uses Held–Karp up to 15 vertices and the LK-style heuristic
     beyond — matching how the paper proposes the framework be used.
+    ``target`` and ``kicks`` tune the ``lk`` engine and are ignored by the
+    others: ``target`` is a lower bound on the optimum, and the search
+    stops once its path reaches it; ``kicks`` replaces its 20
+    double-bridge kicks (0 leaves construction plus one descent).
     """
     if engine == "auto":
-        engine = "held_karp" if instance.n <= 15 else "lk"
+        engine = "held_karp" if instance.n <= HELD_KARP_MAX_N else "lk"
+    if engine == "lk" and (target is not None or kicks is not None):
+        return _lk(instance, target=target, kicks=20 if kicks is None else kicks)
     return get_engine(engine)(instance)

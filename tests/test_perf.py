@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ReproError
 from repro.harness.workloads import (
     DYNAMIC,
+    LADDER,
     MATRIX,
     apply_churn_op,
     churn_stream,
@@ -326,6 +327,39 @@ class TestComparator:
             current, base = self._ratio_pair(current_ratio=ratio)
             assert compare(current, base).passed, ratio
 
+    @staticmethod
+    def _ladder_pair(cur: dict, base: dict):
+        """(current, base) trajectories carrying one cold_ladder record."""
+        record = lambda m: PerfRecord("cold_ladder", (0.3, 0.31, 0.3), m)  # noqa: E731
+        return make_trajectory(records=[record(cur)]), make_trajectory(records=[record(base)])
+
+    def test_certified_rate_floor_is_enforced_on_any_host(self):
+        # unlike the scaling floor, the certificate share needs no cores
+        base = {"certified_rate": 0.7, "cold_solve_p50_ms": 6.0}
+        for cpus in ({}, {"effective_cpus": 1}):
+            current, baseline = self._ladder_pair(
+                {"certified_rate": 0.2, "cold_solve_p50_ms": 6.0, **cpus}, base
+            )
+            report = compare(current, baseline)
+            assert not report.passed
+            assert "certified_rate" in report.verdicts[0].detail
+            assert "floor" in report.verdicts[0].detail
+
+    def test_cold_solve_p50_ceiling_is_absolute_only(self):
+        base = {"certified_rate": 0.7, "cold_solve_p50_ms": 6.0}
+        # three times the baseline but under the ceiling: wall-time drift
+        # belongs to the calibrated wall gate, not this one
+        current, baseline = self._ladder_pair(
+            {"certified_rate": 0.7, "cold_solve_p50_ms": 18.0}, base
+        )
+        assert compare(current, baseline).passed
+        current, baseline = self._ladder_pair(
+            {"certified_rate": 0.7, "cold_solve_p50_ms": 80.0}, base
+        )
+        report = compare(current, baseline)
+        assert not report.passed
+        assert "ceiling" in report.verdicts[0].detail
+
     def test_approx_ratio_metric_must_stay_present(self):
         current, base = self._ratio_pair(current_ratio=1.4)
         current.records[0] = PerfRecord(
@@ -512,6 +546,12 @@ class TestWorkloadMatrix:
             for op in ops:
                 apply_churn_op(g, op)
 
+    def test_ladder_legs_are_applicable(self):
+        # cold_ladder solves every leg instance with engine="auto"
+        for leg in LADDER.values():
+            for wl in leg.workloads():
+                reduce_to_path_tsp(wl.graph, LpSpec(leg.spec))
+
     def test_unknown_dynamic_leg(self):
         with pytest.raises(ReproError, match="unknown dynamic leg"):
             churn_stream("warp-speed")
@@ -577,6 +617,9 @@ class TestCliPerf:
         assert cache["metrics"]["cache_hit_rate"] == pytest.approx(0.9)
         dynamic = records["dynamic_churn:churn-diam2-small"]
         assert dynamic["metrics"]["full_apsp_refresh_count"] == 0
+        ladder = records["cold_ladder"]["metrics"]
+        assert ladder["certified_rate"] >= 0.6  # deterministic legs
+        assert ladder["corollary2_share"] > 0 and ladder["lk_share"] > 0
         assert data["environment"]["calibration_seconds"] > 0
 
         # exercise the compare path against the committed baseline; only the

@@ -12,7 +12,9 @@ import pytest
 
 from repro.errors import ReductionNotApplicableError, SolverError
 from repro.graphs import generators as gen
+from repro.graphs.cotree import random_connected_cograph
 from repro.graphs.graph import Graph
+from repro.labeling.bounds import lower_bound
 from repro.labeling.exact import exact_span
 from repro.labeling.spec import L11, L21, LpSpec
 from repro.reduction.from_tour import labeling_from_order, span_for_order
@@ -188,12 +190,22 @@ class TestSolverFacade:
         assert r.order == r.path.order
 
     def test_auto_engine_selection(self):
+        # K6: the bound (6) is below the optimum (10), so Held-Karp answers
         small = solve_labeling(gen.complete_graph(6), L21, engine="auto")
         assert small.engine == "held_karp" and small.exact
-        big = solve_labeling(
-            gen.random_graph_with_diameter_at_most(25, 2, seed=1), L21, engine="auto"
-        )
+        # diameter 2 under L(2,1): Corollary 2's path partition meets the
+        # all-pairs bound (n-1)*p_min and certifies itself
+        g = gen.random_graph_with_diameter_at_most(25, 2, seed=1)
+        d2 = solve_labeling(g, L21, engine="auto")
+        assert d2.engine == "corollary2" and d2.exact
+        assert d2.span == lower_bound(g, L21) == 24
+        # a cograph past Held-Karp's range whose optimum sits above the
+        # bound: nothing certifies, the full LK run answers
+        cg = random_connected_cograph(16, seed=0)
+        big = solve_labeling(cg, L21, engine="auto")
         assert big.engine == "lk" and not big.exact
+        assert big.span > lower_bound(cg, L21)
+        assert big.order == solve_labeling(cg, L21, engine="lk").order
 
     def test_solver_class(self):
         solver = LpTspSolver(L21, engine="held_karp")
