@@ -68,7 +68,6 @@ def solve_lpq_diameter2(
     method: str = "exact",
     seed: int | np.random.Generator | None = None,
     reduced: ReducedInstance | None = None,
-    verify: bool = True,
 ) -> Diameter2Result:
     """Solve ``L(p, q)`` on a diameter-<=2 graph through PARTITION INTO PATHS.
 
@@ -77,8 +76,7 @@ def solve_lpq_diameter2(
     a given seed always returns the same partition).  ``reduced`` forwards
     the Theorem-2 reduction of ``(graph, spec)`` when the caller already
     holds it, so the pipeline neither reduces again nor recomputes
-    distances.  ``verify=False`` skips re-checking the labeling against the
-    graph, for callers that verify whichever answer they keep.  Raises
+    distances.  Raises
     :class:`ReductionNotApplicableError` when ``spec`` is not 2-dimensional,
     the graph has diameter > 2, or ``p_max > 2 p_min``.
 
@@ -141,8 +139,7 @@ def solve_lpq_diameter2(
     if red is None:
         red = reduce_to_path_tsp(graph, spec, analysis=analysis)
     labeling = labeling_from_order(red, order)
-    if verify:
-        labeling.require_feasible(graph, spec, dist=red.distances)
+    labeling.require_feasible(graph, spec, dist=red.distances)
 
     formula = span_from_path_count(n, p, q, s)
     span = labeling.span

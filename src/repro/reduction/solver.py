@@ -149,9 +149,7 @@ def _certify_first(
     inst = red.instance
     partition_path = None
     if spec.k == 2:
-        res = solve_lpq_diameter2(
-            graph, spec, method="greedy", seed=0, reduced=red, verify=False
-        )
+        res = solve_lpq_diameter2(graph, spec, method="greedy", seed=0, reduced=red)
         order = [v for path in res.partition for v in path]
         partition_path = HamPath.from_order(inst, order)
         if res.span <= bound:

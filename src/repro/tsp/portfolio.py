@@ -132,13 +132,16 @@ def solve_path(
 
     ``auto`` uses Held–Karp up to 15 vertices and the LK-style heuristic
     beyond — matching how the paper proposes the framework be used.
-    ``target`` and ``kicks`` tune the ``lk`` engine and are ignored by the
-    others: ``target`` is a lower bound on the optimum, and the search
-    stops once its path reaches it; ``kicks`` replaces its 20
-    double-bridge kicks (0 leaves construction plus one descent).
+    ``target`` and ``kicks`` tune the ``lk`` engine: ``target`` is a lower
+    bound on the optimum, and the search stops once its path reaches it;
+    ``kicks`` replaces its 20 double-bridge kicks (0 leaves construction
+    plus one descent).  Passing either for any other engine — ``auto``
+    included, when it resolves to Held–Karp — raises :class:`ValueError`.
     """
     if engine == "auto":
         engine = "held_karp" if instance.n <= HELD_KARP_MAX_N else "lk"
-    if engine == "lk" and (target is not None or kicks is not None):
-        return _lk(instance, target=target, kicks=20 if kicks is None else kicks)
-    return get_engine(engine)(instance)
+    if target is None and kicks is None:
+        return get_engine(engine)(instance)
+    if engine != "lk":
+        raise ValueError(f"target and kicks only tune the lk engine, not {engine!r}")
+    return _lk(instance, target=target, kicks=20 if kicks is None else kicks)

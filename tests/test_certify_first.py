@@ -29,6 +29,7 @@ from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.reduction.validation import is_applicable
 from repro.tsp.instance import TSPInstance
 from repro.tsp.lin_kernighan import lk_style_path
+from repro.tsp.portfolio import solve_path
 
 SETTINGS = dict(
     max_examples=30,
@@ -232,3 +233,14 @@ def test_lk_target_only_cuts_the_search_short(n, seed):
     first = lk_style_path(inst, kicks=0, seed=0)
     stopped = lk_style_path(inst, kicks=8, seed=0, target=first.length)
     assert stopped.order == first.order
+
+
+def test_lk_tuning_is_refused_for_other_engines():
+    small, large = TSPInstance.random_metric(8, seed=0), TSPInstance.random_metric(20, seed=0)
+    for engine, inst in (("held_karp", small), ("two_opt", large), ("auto", small)):
+        with pytest.raises(ValueError, match="only tune the lk engine"):
+            solve_path(inst, engine, kicks=0)
+        with pytest.raises(ValueError, match="only tune the lk engine"):
+            solve_path(inst, engine, target=1.0)
+    # auto beyond Held-Karp's range is lk, so it accepts them
+    assert solve_path(large, "auto", kicks=0).order == lk_style_path(large, kicks=0, seed=0).order

@@ -345,20 +345,27 @@ class TestComparator:
             assert "certified_rate" in report.verdicts[0].detail
             assert "floor" in report.verdicts[0].detail
 
-    def test_cold_solve_p50_ceiling_is_absolute_only(self):
+    def test_cold_solve_p50_ceiling_is_in_calibration_runs(self):
         base = {"certified_rate": 0.7, "cold_solve_p50_ms": 6.0}
-        # three times the baseline but under the ceiling: wall-time drift
-        # belongs to the calibrated wall gate, not this one
-        current, baseline = self._ladder_pair(
-            {"certified_rate": 0.7, "cold_solve_p50_ms": 18.0}, base
-        )
-        assert compare(current, baseline).passed
-        current, baseline = self._ladder_pair(
-            {"certified_rate": 0.7, "cold_solve_p50_ms": 80.0}, base
-        )
-        report = compare(current, baseline)
+
+        def verdict(p50_ms: float, environment: dict):
+            cur = {"certified_rate": 0.7, "cold_solve_p50_ms": p50_ms}
+            record = PerfRecord("cold_ladder", (0.3, 0.31, 0.3), cur)
+            current = make_trajectory(environment=environment, records=[record])
+            return compare(current, self._ladder_pair(cur, base)[1])
+
+        fast, slow = {"calibration_seconds": 0.01}, {"calibration_seconds": 0.04}
+        # 1.2 calibration runs: under the 1.5 ceiling, though twice the baseline
+        assert verdict(12.0, fast).passed
+        # the same 50 ms passes on a host four times slower, fails on the fast one
+        assert verdict(50.0, slow).passed
+        report = verdict(50.0, fast)
         assert not report.passed
-        assert "ceiling" in report.verdicts[0].detail
+        assert "5.00 calibration runs, above ceiling 1.5" in report.verdicts[0].detail
+        # without a calibration the timing cannot be gated, so it fails
+        report = verdict(6.0, {})
+        assert not report.passed
+        assert "needs calibration_seconds" in report.verdicts[0].detail
 
     def test_approx_ratio_metric_must_stay_present(self):
         current, base = self._ratio_pair(current_ratio=1.4)
