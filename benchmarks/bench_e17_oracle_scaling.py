@@ -4,13 +4,17 @@ The scaling claims behind the ``oracle_scaling`` perf legs, asserted so
 ``make bench`` is also a correctness gate:
 
 1. on the ``sparse`` scaling family (n = 512 here; n = 2048 rides the
-   nightly ``make bench``, deselected from ``bench-quick``), the blocked
-   oracle's assembled matrix is **bit-identical** to the per-source BFS
-   reference, and a greedy labeling computed through row blocks equals the
-   one computed from the reference matrix;
-2. the oracle's resident-byte high-water mark stays within **25% of the
-   dense int64 footprint** (``n^2 * 8``) — the acceptance bound; full
-   ``int16`` residency sits exactly at it, an LRU budget strictly below;
+   nightly ``make bench``, deselected from ``bench-quick``) and the
+   ``dense`` diameter-2 family (n = 320, where the row kernel takes its
+   adjacency-bitset step), the blocked oracle's assembled matrix is
+   **bit-identical** to the per-source BFS reference, and a greedy
+   labeling computed through row blocks equals the one computed from the
+   reference matrix;
+2. the oracle's resident row blocks stay within **25% of the dense int64
+   footprint** (``n^2 * 8``) — the acceptance bound; full ``int16``
+   residency sits exactly at it, an LRU budget strictly below.  The
+   adjacency bitset (``n * ceil(n/64) * 8`` bytes) is built only where the
+   bit step runs — never on the sparse family — and counts on top;
 3. end-to-end labeling at these sizes never materializes a dense matrix
    and never runs the dense APSP kernel (``apsp_run_count`` unchanged).
 
@@ -37,9 +41,16 @@ def _sparse_graph(n: int):
     return make_workload("sparse", n, 0).graph
 
 
-@pytest.mark.parametrize("n", [512, pytest.param(2048, id="large2048")])
-def test_labeling_bit_identical_and_memory_bounded(n):
-    g = _sparse_graph(n)
+@pytest.mark.parametrize(
+    "family,n",
+    [
+        ("sparse", 512),
+        pytest.param("sparse", 2048, id="large2048"),
+        ("dense", 320),
+    ],
+)
+def test_labeling_bit_identical_and_memory_bounded(family, n):
+    g = make_workload(family, n, 0).graph
 
     blocked = g.copy()
     before = apsp_run_count()
@@ -50,7 +61,13 @@ def test_labeling_bit_identical_and_memory_bounded(n):
     assert analysis._distances is None, "no dense matrix may materialize"
 
     stats = analysis.oracle_stats()
-    assert stats["peak_bytes"] <= DENSE_FRACTION_MAX * n * n * 8, stats
+    bits = analysis._oracle._bits
+    if family == "sparse":
+        assert bits is None, "the sparse family never takes the bit step"
+    else:
+        assert bits is not None and bits.nbytes == n * -(-n // 64) * 8
+    bits_bytes = 0 if bits is None else bits.nbytes
+    assert stats["peak_bytes"] - bits_bytes <= DENSE_FRACTION_MAX * n * n * 8, stats
     assert stats["peak_bytes"] > 0
 
     # reference side: the same labeling from a per-source-BFS matrix

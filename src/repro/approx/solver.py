@@ -13,11 +13,13 @@ constraints:
    i.e. a positive entry in its requirement row from the lazy distance
    oracle) and push it on a stack.  Degrees update as vertices leave, so
    the stack bottom holds the loosely-constrained periphery and the top
-   the tightly-constrained core.
+   the tightly-constrained core.  Each step is one ``argmin`` over a
+   packed ``degree * n + tiebreak`` key.
 2. **Select** — pop the stack (most-constrained vertices first) and give
    each vertex the smallest label compatible with the already-labeled
-   ones, using the same jump-past-the-blocking-window first fit as
-   :func:`repro.labeling.greedy.greedy_labeling`.
+   ones — the label :func:`repro.labeling.greedy.greedy_labeling`'s
+   jump-past-the-blocking-window first fit finds, here by one
+   sort-and-sweep over the forbidden windows.
 
 Feasibility is by construction: select never places a label inside a
 forbidden window.  The **certified gap** comes from the existing
@@ -33,7 +35,6 @@ fetch one requirement row per vertex through the graph's blocked oracle
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -135,48 +136,53 @@ def approx_labeling(
     return _record(labeling, lb, time.perf_counter() - t0)
 
 
-def _simplify(n, degrees, row_of, tiebreak) -> list[int]:
+def _simplify(n, degrees, row_of, tiebreak) -> np.ndarray:
     """Chaitin-style elimination: min remaining requirement-degree first.
 
-    A lazy heap holds ``(degree, tiebreak, vertex)`` triples; stale entries
-    (the vertex left, or its degree has since dropped) are skipped on pop,
-    which keeps the loop ``O(total pushes * log)`` without a decrease-key.
+    Every remaining vertex carries the packed key ``degree * n +
+    tiebreak``; since ``tiebreak`` is a permutation of ``range(n)`` the
+    keys are distinct and order exactly like ``(degree, tiebreak)`` pairs,
+    so one ``argmin`` per step picks the vertex a ``(degree, tiebreak)``
+    heap would pop.  Removing a vertex lowers each remaining requirement
+    neighbour's key by ``n`` (one degree).
     """
-    deg = degrees.copy()
-    remaining = np.ones(n, dtype=bool)
-    heap = [(int(deg[v]), int(tiebreak[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    stack: list[int] = []
-    while heap:
-        d, _t, v = heapq.heappop(heap)
-        if not remaining[v] or d != deg[v]:
-            continue
-        remaining[v] = False
-        stack.append(v)
-        rv = row_of(v)
-        nbrs = np.nonzero((rv > 0) & remaining)[0]
-        if nbrs.size:
-            deg[nbrs] -= 1
-            for u in nbrs:
-                heapq.heappush(heap, (int(deg[u]), int(tiebreak[u]), int(u)))
+    key = degrees * n + tiebreak
+    gone = np.iinfo(np.int64).max
+    stack = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        v = int(key.argmin())
+        stack[i] = v
+        key[v] = gone
+        nbrs = row_of(v) > 0
+        nbrs &= key != gone
+        key[nbrs] -= n
     return stack
 
 
 def _select(n, stack, row_of) -> np.ndarray:
-    """Pop the stack and first-fit each vertex (jump past blocking windows)."""
+    """Pop the stack and give each vertex its smallest free label.
+
+    Every labeled requirement neighbour ``u`` forbids the window
+    ``(labels[u] - req, labels[u] + req)``; the smallest non-negative
+    label outside all windows is found by one sort of the windows by
+    start and a sweep of their running end: the first window starting
+    past the running end leaves that end free.
+    """
     labels = np.full(n, -1, dtype=np.int64)
-    for v in reversed(stack):
+    for v in stack[::-1]:
         rv = row_of(v)
-        constraining = np.nonzero((rv > 0) & (labels >= 0))[0]
-        x = 0
-        while True:
-            gaps = np.abs(labels[constraining] - x)
-            bad = gaps < rv[constraining]
-            if not bad.any():
-                break
-            u = constraining[bad][0]
-            x = int(labels[u] + rv[u])
-        labels[v] = x
+        constraining = (rv > 0) & (labels >= 0)
+        req = rv[constraining]
+        if req.size == 0:
+            labels[v] = 0
+            continue
+        centre = labels[constraining]
+        lo = centre - req + 1
+        order = np.argsort(lo)
+        reach = np.maximum.accumulate(np.maximum(centre + req, 0)[order])
+        before = np.concatenate(([0], reach[:-1]))
+        gap = np.flatnonzero(lo[order] > before)
+        labels[v] = before[gap[0]] if gap.size else reach[-1]
     return labels
 
 

@@ -31,6 +31,7 @@ from repro.errors import DisconnectedGraphError
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     UNREACHABLE,
+    adjacency_bitset,
     all_pairs_distances,
     connected_components,
     distance_rows_csr,
@@ -76,6 +77,14 @@ class LazyDistanceOracle:
     evicted.  All blocks are read-only; hit/miss/eviction counts and the
     peak-resident-bytes high-water mark are mirrored to the
     ``repro_oracle_*`` registry metrics.
+
+    The packed adjacency bitset the kernel's bit step reads
+    (:func:`~repro.graphs.traversal.adjacency_bitset`, ``n * ceil(n/64) *
+    8`` bytes) is built at most once per oracle, only when a BFS level
+    picks the bit step, and never when it alone would exceed the budget —
+    those levels run the CSR step instead.  Once built it stays resident
+    and counts toward :attr:`resident_bytes` like a block that is never
+    evicted.
     """
 
     __slots__ = (
@@ -83,6 +92,7 @@ class LazyDistanceOracle:
         "block_rows",
         "budget_bytes",
         "_blocks",
+        "_bits",
         "resident_bytes",
         "peak_bytes",
         "hits",
@@ -101,6 +111,7 @@ class LazyDistanceOracle:
         self.block_rows = int(block_rows or DEFAULT_BLOCK_ROWS)
         self.budget_bytes = int(budget_bytes or DEFAULT_ORACLE_BUDGET_BYTES)
         self._blocks: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._bits: np.ndarray | None = None
         self.resident_bytes = 0
         self.peak_bytes = 0
         self.hits = 0
@@ -129,22 +140,47 @@ class LazyDistanceOracle:
         hi = min(n, lo + self.block_rows)
         indptr, indices = a.graph.csr_arrays()
         blk = distance_rows_csr(
-            indptr, indices, np.arange(lo, hi, dtype=np.int64), n
+            indptr,
+            indices,
+            np.arange(lo, hi, dtype=np.int64),
+            n,
+            bitset=self._adjacency_bits,
         )
         blk.flags.writeable = False
         # make room first, so resident bytes stay under budget and the block
         # just materialized can never be the one evicted
-        while self._blocks and self.resident_bytes + blk.nbytes > self.budget_bytes:
+        self._make_room(blk.nbytes)
+        self._blocks[b] = blk
+        self._charge(blk.nbytes)
+        return blk
+
+    def _adjacency_bits(self) -> np.ndarray | None:
+        """The snapshot's adjacency bitset, built on first use; ``None``
+        when the bitset alone would exceed :attr:`budget_bytes`."""
+        if self._bits is None:
+            n = self.analysis.n
+            nbytes = n * (-(-n // 64)) * 8
+            if nbytes > self.budget_bytes:
+                return None
+            self._make_room(nbytes)
+            self._bits = adjacency_bitset(*self.analysis.graph.csr_arrays(), n)
+            self._charge(nbytes)
+        return self._bits
+
+    def _make_room(self, nbytes: int) -> None:
+        """Evict LRU blocks until ``nbytes`` more fit under the budget."""
+        while self._blocks and self.resident_bytes + nbytes > self.budget_bytes:
             _, old = self._blocks.popitem(last=False)
             self.resident_bytes -= old.nbytes
             self.evictions += 1
             _ORACLE_EVICTIONS.inc()
-        self._blocks[b] = blk
-        self.resident_bytes += blk.nbytes
+
+    def _charge(self, nbytes: int) -> None:
+        """Count ``nbytes`` as resident and advance the peak mark."""
+        self.resident_bytes += nbytes
         if self.resident_bytes > self.peak_bytes:
             self.peak_bytes = self.resident_bytes
             _ORACLE_PEAK.set(float(self.peak_bytes))
-        return blk
 
     def row(self, v: int) -> np.ndarray:
         """Distance row of vertex ``v`` as a read-only view into its block."""

@@ -16,6 +16,7 @@ matrix is computed at most once per graph version.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 import numpy as np
@@ -112,12 +113,86 @@ _ORACLE_PROMOTIONS = REGISTRY.counter("repro_oracle_promotions_total")
 _ORACLE_PROMOTIONS.labels()  # materialize: the exposition shows 0, not nothing
 
 
+def adjacency_bitset(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """The adjacency as packed ``uint64`` bitsets, one row of words per vertex.
+
+    Row ``v`` holds ``ceil(n / 64)`` words; bit ``w`` of the row (in the
+    little-endian bit order :func:`numpy.packbits` and
+    :func:`numpy.unpackbits` share) is set iff ``w`` is a neighbour of
+    ``v``.  Costs ``n * ceil(n / 64) * 8`` bytes and ``O(n + m)`` time.
+    """
+    words = -(-n // 64)
+    bits = np.zeros((n, words), dtype=np.uint64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    np.bitwise_or.at(
+        bits,
+        (owner, indices >> 6),
+        np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64)),
+    )
+    return bits
+
+
+def _csr_level(indptr, indices, dist, rows, cols, counts, n):
+    """Next BFS level by gathering every frontier vertex's CSR slice.
+
+    Costs ``O(sum(deg(frontier)))``: the gather, a filter against ``dist``
+    and one sort that dedupes vertices reached from several frontier
+    vertices of the same row.
+    """
+    # multi-range gather: one cumsum builds the concatenation of every
+    # frontier vertex's CSR slice without a python loop
+    starts = indptr[cols]
+    cum = np.cumsum(counts)
+    deltas = np.ones(cum[-1], dtype=np.int64)
+    deltas[cum[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
+    deltas[0] = starts[0]
+    nbr = indices[np.cumsum(deltas)]
+    nbr_rows = np.repeat(rows, counts)
+    # drop already-visited candidates first (the bulk of the gather
+    # once the BFS waves collide), then dedupe the survivors (several
+    # frontier vertices can share a neighbour) with one sort — far
+    # cheaper than hashing the full gather via np.unique
+    fresh = dist[nbr_rows, nbr] == UNREACHABLE
+    flat = nbr_rows[fresh] * n + nbr[fresh]
+    if flat.size:
+        flat.sort()
+        keep = np.empty(flat.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        flat = flat[keep]
+    return flat // n, flat % n
+
+
+def _bit_level(bits, dist, rows, cols, n):
+    """Next BFS level as the OR of the frontier's adjacency bitsets.
+
+    ``rows`` must be sorted.  Each source row's frontier words are OR-ed
+    in one ``reduceat``, masked by the row's unreached bits, and unpacked
+    back to ``(row, vertex)`` pairs — ``O(|frontier| * ceil(n/64))`` word
+    operations plus two ``O(rows * n)`` pack/unpack passes, independent of
+    the frontier's degrees.
+    """
+    heads = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    live_rows = rows[heads]
+    nxt = np.bitwise_or.reduceat(bits[cols], heads, axis=0)
+    words = bits.shape[1]
+    unreached = np.zeros((live_rows.size, words * 64), dtype=bool)
+    unreached[:, :n] = dist[live_rows] == UNREACHABLE
+    nxt &= np.packbits(unreached, axis=1, bitorder="little").view(np.uint64)
+    fresh = np.unpackbits(
+        nxt.view(np.uint8), axis=1, count=n, bitorder="little"
+    )
+    r, c = np.nonzero(fresh)
+    return live_rows[r], c
+
+
 def distance_rows_csr(
     indptr: np.ndarray,
     indices: np.ndarray,
     sources: np.ndarray,
     n: int,
     dtype=np.int16,
+    bitset=None,
 ) -> np.ndarray:
     """BFS distance rows for ``sources`` over a CSR adjacency.
 
@@ -130,15 +205,29 @@ def distance_rows_csr(
     ``repro_oracle_promotions_total`` is incremented.  Unreachable pairs
     hold :data:`UNREACHABLE`.  Does not count toward
     :func:`apsp_run_count` — the gate for *full* materializations.
+
+    Each level advances by one of two steps, picked from counts the loop
+    already holds (the top-down/bottom-up switch of direction-optimizing
+    BFS, Beamer et al., SC 2012): the CSR gather costs ``sum(deg(frontier))``
+    element operations, the bit step ``|frontier| * ceil(n/64) + 2 * b * n``
+    (:func:`_bit_level`).  The bit step needs the packed adjacency of
+    :func:`adjacency_bitset`; ``bitset`` is a zero-argument callable that
+    returns it, or ``None`` when it may not be built, in which case the
+    CSR step runs.  By default the bitset is built on the first level that
+    picks the bit step.  Both steps produce the same rows.
     """
     sources = np.asarray(sources, dtype=np.int64)
     b = sources.shape[0]
     dist = np.full((b, n), UNREACHABLE, dtype=np.dtype(dtype))
     if b == 0 or n == 0:
         return dist
+    if bitset is None:
+        bitset = functools.cache(lambda: adjacency_bitset(indptr, indices, n))
     dist[np.arange(b), sources] = 0
     rows = np.arange(b, dtype=np.int64)
     cols = sources.copy()
+    bit_fixed_cost = 2 * b * n
+    words = -(-n // 64)
     level = 0
     while rows.size:
         level += 1
@@ -150,28 +239,13 @@ def distance_rows_csr(
         rows, cols, counts = rows[live], cols[live], counts[live]
         if rows.size == 0:
             break
-        # multi-range gather: one cumsum builds the concatenation of every
-        # frontier vertex's CSR slice without a python loop
-        starts = indptr[cols]
-        cum = np.cumsum(counts)
-        deltas = np.ones(cum[-1], dtype=np.int64)
-        deltas[cum[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-        deltas[0] = starts[0]
-        nbr = indices[np.cumsum(deltas)]
-        nbr_rows = np.repeat(rows, counts)
-        # drop already-visited candidates first (the bulk of the gather
-        # once the BFS waves collide), then dedupe the survivors (several
-        # frontier vertices can share a neighbour) with one sort — far
-        # cheaper than hashing the full gather via np.unique
-        fresh = dist[nbr_rows, nbr] == UNREACHABLE
-        flat = nbr_rows[fresh] * n + nbr[fresh]
-        if flat.size:
-            flat.sort()
-            keep = np.empty(flat.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-            flat = flat[keep]
-        rows, cols = flat // n, flat % n
+        bits = None
+        if int(counts.sum()) > rows.size * words + bit_fixed_cost:
+            bits = bitset()
+        if bits is None:
+            rows, cols = _csr_level(indptr, indices, dist, rows, cols, counts, n)
+        else:
+            rows, cols = _bit_level(bits, dist, rows, cols, n)
         dist[rows, cols] = level
     return dist
 

@@ -17,6 +17,7 @@ from repro.errors import ReproError
 from repro.graphs.graph import Graph
 from repro.graphs import generators as gen
 from repro.graphs.cotree import random_connected_cograph
+from repro.graphs.traversal import UNREACHABLE, distance_rows_csr
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,19 @@ def _diam3(n: int, seed: int) -> Graph:
 
 
 def _dense(n: int, seed: int) -> Graph:
-    """Dense diameter-2 variant (Generator-seeded edge draw)."""
-    return gen.random_graph_with_diameter_at_most(n, 2, seed=np.random.default_rng(seed))
+    """Dense diameter-<=2 graph: ``G(n, 0.3)``, far pairs joined.
+
+    The dense scaling family for the blocked distance oracle: at n in the
+    hundreds almost every pair shares a neighbour, so the second BFS level
+    of every row block touches most of the graph and the row-block kernel
+    takes its adjacency-bitset step.  Pairs still farther apart than 2
+    (or disconnected) are joined, so the diameter bound always holds.
+    """
+    g = gen.random_gnp(n, 0.3, np.random.default_rng(seed))
+    dist = distance_rows_csr(*g.csr_arrays(), np.arange(n), n)
+    for u, v in np.argwhere(np.triu((dist > 2) | (dist == UNREACHABLE), 1)):
+        g.add_edge(int(u), int(v))
+    return g
 
 
 def _geometric(n: int, seed: int) -> Graph:
@@ -113,6 +125,7 @@ WORKLOADS: dict[str, Callable[[int, int], Graph]] = {
     "wheel": _wheel,
     "complete_bipartite": _complete_bipartite,
     "sparse": _sparse,
+    "dense": _dense,
 }
 
 
@@ -149,9 +162,10 @@ class MatrixLeg:
     #: Constraint vector solvable on this family (Theorem 2 needs
     #: ``diam(G) <= len(spec)``, so deeper families carry longer specs).
     spec: tuple[int, ...] = (2, 1)
-    #: Whether the Theorem-2 reduction applies to this family (the large
-    #: sparse legs have diameter >> len(spec), so the reduction scenario
-    #: skips them and the oracle-scaling scenario measures them instead).
+    #: Whether the reduction scenario sweeps this leg.  ``False`` legs go
+    #: to the oracle-scaling scenario instead: the large sparse legs, whose
+    #: diameter >> len(spec) puts them outside Theorem 2, and the dense
+    #: leg, which measures the oracle's bit step rather than the reduction.
     reduction: bool = True
 
     def workloads(self) -> list[Workload]:
@@ -176,6 +190,9 @@ MATRIX: dict[str, MatrixLeg] = {
         # the scaling legs: 10-50x larger graphs through the blocked oracle
         MatrixLeg("large-512", "sparse", (512,), (0,), reduction=False),
         MatrixLeg("large-2048", "sparse", (2048,), (0,), reduction=False),
+        # the dense counterpart: diameter 2 at n = 320, where the row-block
+        # kernel's bit step does the work the sparse legs give the CSR step
+        MatrixLeg("dense-320", "dense", (320,), (0,), reduction=False),
     )
 }
 

@@ -28,7 +28,9 @@ server (no third-party framework) that speaks the
 Every error body is the JSON payload from
 :func:`repro.errors.error_payload`, so the wire and the CLI share one
 error vocabulary (stable ``code`` strings, HTTP statuses from the same
-table).
+table).  Any other ``Exception`` a route raises — a ``MemoryError`` from
+an oversized graph, say — answers as the catalogued ``internal`` 500 and
+is counted like every other response; no request ends without one.
 
 Shutdown is graceful: :meth:`NetworkServer.shutdown` stops the listener,
 lets every in-flight request finish, answers late submissions on
@@ -241,6 +243,13 @@ class NetworkServer:
             return await self._batch(request, writer)
         except ReproError as exc:
             return self._error(writer, exc)
+        except Exception as exc:  # noqa: BLE001 — every request gets an answer
+            # an uncatalogued failure (e.g. MemoryError from an oversized
+            # graph) still answers with the catalogued `internal` 500 and is
+            # counted, instead of dropping the connection with no response
+            return self._error(
+                writer, ReproError(f"internal error: {type(exc).__name__}")
+            )
 
     # ------------------------------------------------------------------
     def _json(

@@ -56,8 +56,9 @@ from repro.service.api import LabelingService
 from repro.service.protocol import SolveRequest
 
 #: Matrix legs a ``--quick`` run sweeps, per the CI perf-gate: one
-#: reduction leg plus the n=512 blocked-oracle smoke.
-QUICK_LEGS = ("diam2-small", "large-512")
+#: reduction leg plus the blocked-oracle smokes — n=512 sparse (the row
+#: kernel's CSR step) and n=320 dense (its bit step).
+QUICK_LEGS = ("diam2-small", "large-512", "dense-320")
 
 
 def _timed_repeats(fn, repeats: int, min_seconds: float = 0.0) -> tuple[float, ...]:
@@ -219,7 +220,8 @@ def reduction_leg_scenario(leg_name: str, repeats: int) -> PerfRecord:
 def oracle_scaling_scenario(leg_name: str, repeats: int) -> PerfRecord:
     """The blocked-oracle leg: end-to-end labeling at sizes with no matrix.
 
-    One timed pass over a ``reduction=False`` matrix leg: cold graph copy,
+    One timed pass over a ``reduction=False`` matrix leg (``sparse``
+    family: the row kernel's CSR step; ``dense``: its bit step): cold graph copy,
     streamed eccentricities (one full row-block sweep through the
     :class:`~repro.graphs.analysis.LazyDistanceOracle`), then a greedy
     L(2,1) labeling via per-vertex requirement rows and a blocked
@@ -230,7 +232,9 @@ def oracle_scaling_scenario(leg_name: str, repeats: int) -> PerfRecord:
     never allows to rise at fixed n) and ``row_block_hit_rate`` (which
     must not fall) — plus ``dense_fraction``, the peak as a fraction of
     the ``n^2 * 8`` dense-int64 footprint the oracle replaced (the
-    acceptance bound is <= 0.25: full int16 residency).
+    acceptance bound is <= 0.25: full int16 residency; on the dense leg
+    the resident adjacency bitset adds ``ceil(n/64) / n``, 1/64 at
+    n = 320).
     """
     from repro.graphs.analysis import get_analysis
     from repro.labeling.greedy import greedy_labeling

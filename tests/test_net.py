@@ -141,6 +141,32 @@ def test_inapplicable_instance_maps_to_422():
         assert json.loads(err.value.read())["code"] == "not_applicable"
 
 
+def test_uncatalogued_exception_maps_to_internal_500_and_is_counted(monkeypatch):
+    import repro.service.server as service_server
+    from repro.obs import REGISTRY
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    with make_server() as server:
+        before = REGISTRY.value(
+            "repro_http_requests_total", endpoint="/solve", status="500"
+        )
+        with monkeypatch.context() as mp:
+            mp.setattr(service_server, "canonical_form", out_of_memory)
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(server.url, "/solve", solve_body(graph(0)))
+        assert err.value.code == 500
+        body = json.loads(err.value.read())
+        assert body["code"] == "internal" and body["status"] == 500
+        assert REGISTRY.value(
+            "repro_http_requests_total", endpoint="/solve", status="500"
+        ) == before + 1
+        # the server is still up and answers the next request
+        status, record = post(server.url, "/solve", solve_body(graph(0)))
+        assert status == 200 and record["span"] >= 0
+
+
 # ---------------------------------------------------------------------------
 # the NDJSON batch stream
 # ---------------------------------------------------------------------------

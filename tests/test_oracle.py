@@ -15,13 +15,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.graphs.analysis as analysis_mod
+import repro.graphs.traversal as traversal
 from repro.graphs import generators as gen
 from repro.graphs.analysis import GraphAnalysis, LazyDistanceOracle, get_analysis
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     UNREACHABLE,
+    adjacency_bitset,
     all_pairs_distances_reference,
     apsp_run_count,
+    bfs_distances,
     distance_rows_csr,
 )
 from repro.obs import REGISTRY
@@ -219,3 +222,137 @@ def test_oracle_stats_shape_without_any_access():
     stats = a.oracle_stats()
     assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
     assert stats["hit_rate"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the two BFS steps: CSR gather vs adjacency-bitset OR
+# ---------------------------------------------------------------------------
+def _lollipop(clique: int, tail: int) -> Graph:
+    """A clique with a path hanging off it: dense levels, then a long tail."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(v - 1, v) for v in range(clique, clique + tail)]
+    return Graph(clique + tail, edges)
+
+
+def _disconnected_dense(n: int, seed: int) -> Graph:
+    """Two dense random pieces plus a few isolated vertices."""
+    a = n // 2
+    edges = [tuple(map(int, e)) for e in gen.random_gnp(a, 0.4, seed).edges()]
+    b = n - a - 3
+    edges += [(a + u, a + v) for u, v in gen.random_gnp(b, 0.4, seed + 1).edges()]
+    return Graph(n, edges)
+
+
+STEP_KINDS = ("gnp", "split", "path", "cycle", "disconnected", "lollipop")
+
+
+@st.composite
+def step_graphs(draw, kind):
+    """Graphs whose BFS levels reach the bit step, the CSR step, or both."""
+    seed = draw(st.integers(0, 2**16))
+    if kind == "gnp":  # dense: diameter 2 with overwhelming probability
+        n = draw(st.integers(257, 400))
+        return gen.random_gnp(n, draw(st.sampled_from([0.2, 0.3, 0.5])), seed)
+    if kind == "split":
+        n = draw(st.integers(257, 400))
+        return gen.random_split_graph(n // 2, n - n // 2, p=0.4, seed=seed)
+    if kind == "path":
+        return gen.path_graph(draw(st.integers(65, 700)))
+    if kind == "cycle":
+        return gen.cycle_graph(draw(st.integers(65, 700)))
+    if kind == "disconnected":
+        return _disconnected_dense(draw(st.integers(100, 300)), seed)
+    return _lollipop(draw(st.integers(40, 120)), draw(st.integers(1, 200)))
+
+
+def reference_rows(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """The rows of :func:`all_pairs_distances_reference` for ``sources``.
+
+    The same per-source BFS, run only for the requested rows: the full
+    reference matrix costs seconds at n = 400.
+    """
+    return np.stack([bfs_distances(g, int(s)) for s in sources])
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@settings(**{**SETTINGS, "max_examples": 5})
+@given(data=st.data())
+def test_kernel_rows_match_reference_over_both_steps(kind, data):
+    g = data.draw(step_graphs(kind))
+    n = g.n
+    b = data.draw(st.integers(1, 24))
+    sources = np.asarray(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=b, max_size=b))
+    )
+    indptr, indices = g.csr_arrays()
+    steps = {"bit": 0, "csr": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in (("bit", traversal._bit_level), ("csr", traversal._csr_level)):
+            def spy(*args, _name=name, _fn=fn):
+                steps[_name] += 1
+                return _fn(*args)
+            mp.setattr(traversal, f"_{name}_level", spy)
+        rows = distance_rows_csr(indptr, indices, sources, n)
+    assert rows.dtype == np.int16
+    assert np.array_equal(rows, reference_rows(g, sources))
+    if kind in ("gnp", "split"):
+        assert steps["bit"] > 0
+    if kind in ("path", "cycle"):
+        assert steps["bit"] == 0
+
+
+def test_bit_step_with_int8_promotion_matches_reference():
+    # clique sources take the bit step at level 2, the tail overflows int8
+    g = _lollipop(100, 180)
+    indptr, indices = g.csr_arrays()
+    sources = np.arange(0, 64)
+    rows = distance_rows_csr(indptr, indices, sources, g.n, dtype=np.int8)
+    assert rows.dtype == np.int16
+    assert np.array_equal(rows, all_pairs_distances_reference(g)[sources])
+
+
+def test_dense_graph_builds_bitset_once_and_counts_it(monkeypatch):
+    g = gen.random_gnp(320, 0.3, seed=5)  # n % 64 == 0, above the dense limit
+    built = []
+    monkeypatch.setattr(
+        traversal,
+        "adjacency_bitset",
+        lambda *a: built.append(1) or adjacency_bitset(*a),
+    )
+    monkeypatch.setattr(analysis_mod, "adjacency_bitset", traversal.adjacency_bitset)
+    a = get_analysis(g)
+    assert np.array_equal(a.rows(0, g.n), all_pairs_distances_reference(g))
+    assert built == [1]  # once per snapshot, shared by every block
+    oracle = a._oracle
+    bits_bytes = g.n * 5 * 8
+    assert oracle.resident_bytes == 5 * 64 * g.n * 2 + bits_bytes
+    assert oracle.peak_bytes == oracle.resident_bytes
+
+
+def test_sparse_graph_never_builds_bitset(monkeypatch):
+    def boom(*a):
+        raise AssertionError("bitset built for a sparse graph")
+
+    monkeypatch.setattr(traversal, "adjacency_bitset", boom)
+    monkeypatch.setattr(analysis_mod, "adjacency_bitset", boom)
+    g = gen.path_graph(700)
+    a = get_analysis(g)
+    assert int(a.eccentricities.max()) == 699
+    assert a.oracle_stats()["peak_bytes"] == 700 * 700 * 2  # blocks only
+
+
+def test_bitset_over_budget_falls_back_to_csr_step(monkeypatch):
+    monkeypatch.setattr(analysis_mod, "adjacency_bitset", None)  # must not be called
+    g = gen.random_gnp(300, 0.3, seed=2)
+    a = get_analysis(g)
+    oracle = a.configure_oracle(budget_bytes=300 * 5 * 8 - 1)
+    assert np.array_equal(a.rows(0, 64), all_pairs_distances_reference(g)[:64])
+    assert oracle._bits is None
+
+
+def test_adjacency_bitset_round_trips_non_multiple_of_64():
+    g = gen.random_gnp(131, 0.2, seed=9)
+    bits = adjacency_bitset(*g.csr_arrays(), g.n)
+    assert bits.shape == (131, 3) and bits.dtype == np.uint64
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1, count=131, bitorder="little")
+    assert np.array_equal(unpacked.astype(bool), g.adjacency_matrix(dtype=np.bool_))

@@ -537,7 +537,11 @@ class TestWorkloadMatrix:
                 continue
             wl = matrix_sweep(leg.name)[0]
             assert wl.n > 256  # the blocked-oracle regime, never dense
-            assert get_analysis(wl.graph).diameter > len(leg.spec)
+            if leg.family == "sparse":
+                assert get_analysis(wl.graph).diameter > len(leg.spec)
+            else:  # the dense leg: diameter 2, so the bit step does the work
+                assert leg.family == "dense"
+                assert get_analysis(wl.graph).diameter == 2
 
     def test_unknown_leg(self):
         with pytest.raises(ReproError, match="unknown matrix leg"):
