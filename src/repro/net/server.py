@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import logging
 import threading
 import time
 
@@ -90,6 +91,9 @@ _M_LATENCY = REGISTRY.histogram("repro_http_request_seconds")
 _M_LATENCY.labels()  # materialize: expose zeroed buckets immediately
 _M_OPEN = REGISTRY.gauge("repro_http_open_connections")
 _M_OPEN.labels()
+
+#: Tracebacks of route failures outside the error catalogue.
+_LOG = logging.getLogger(__name__)
 
 
 class NetworkServer:
@@ -247,6 +251,7 @@ class NetworkServer:
             # an uncatalogued failure (e.g. MemoryError from an oversized
             # graph) still answers with the catalogued `internal` 500 and is
             # counted, instead of dropping the connection with no response
+            _LOG.exception("uncaught error serving %s %s", method, path)
             return self._error(
                 writer, ReproError(f"internal error: {type(exc).__name__}")
             )

@@ -141,7 +141,7 @@ def test_inapplicable_instance_maps_to_422():
         assert json.loads(err.value.read())["code"] == "not_applicable"
 
 
-def test_uncatalogued_exception_maps_to_internal_500_and_is_counted(monkeypatch):
+def test_uncatalogued_exception_maps_to_internal_500_and_is_counted(monkeypatch, caplog):
     import repro.service.server as service_server
     from repro.obs import REGISTRY
 
@@ -159,12 +159,14 @@ def test_uncatalogued_exception_maps_to_internal_500_and_is_counted(monkeypatch)
         assert err.value.code == 500
         body = json.loads(err.value.read())
         assert body["code"] == "internal" and body["status"] == 500
+        assert "MemoryError" in caplog.text  # the traceback is logged
+        # the server is still up and answers the next request; by then the
+        # 500 is counted (the count follows the response write, on the loop)
+        status, record = post(server.url, "/solve", solve_body(graph(0)))
+        assert status == 200 and record["span"] >= 0
         assert REGISTRY.value(
             "repro_http_requests_total", endpoint="/solve", status="500"
         ) == before + 1
-        # the server is still up and answers the next request
-        status, record = post(server.url, "/solve", solve_body(graph(0)))
-        assert status == 200 and record["span"] >= 0
 
 
 # ---------------------------------------------------------------------------
