@@ -155,8 +155,11 @@ class LazyDistanceOracle:
         return blk
 
     def _adjacency_bits(self) -> np.ndarray | None:
-        """The snapshot's adjacency bitset, built on first use; ``None``
-        when the bitset alone would exceed :attr:`budget_bytes`."""
+        """The snapshot's adjacency bitset, built and charged on first use.
+
+        ``None`` when the bitset alone would exceed :attr:`budget_bytes`:
+        the kernel then runs its CSR step instead.
+        """
         if self._bits is None:
             n = self.analysis.n
             nbytes = n * (-(-n // 64)) * 8

@@ -239,9 +239,8 @@ def distance_rows_csr(
         rows, cols, counts = rows[live], cols[live], counts[live]
         if rows.size == 0:
             break
-        bits = None
-        if int(counts.sum()) > rows.size * words + bit_fixed_cost:
-            bits = bitset()
+        bit_cheaper = int(counts.sum()) > rows.size * words + bit_fixed_cost
+        bits = bitset() if bit_cheaper else None
         if bits is None:
             rows, cols = _csr_level(indptr, indices, dist, rows, cols, counts, n)
         else:

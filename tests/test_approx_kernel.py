@@ -101,7 +101,7 @@ def corpus(count: int = 540) -> tuple:
     """Seeded ``(graph, spec, seed)`` cases over six graph kinds.
 
     Consumers only read the graphs (solves run on copies), so the corpus
-    is built once per session.
+    is built once per test run.
     """
     rng = np.random.default_rng(14)
     cases = []
