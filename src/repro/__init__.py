@@ -42,7 +42,7 @@ from repro.dynamic import DeltaEngine, full_apsp_refresh_count
 from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.service.api import BatchReport, LabelingService, solve_record
-from repro.service.cache import CacheStats, ResultCache
+from repro.service.cache import CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form
 from repro.service.protocol import SolveRequest, SolveResponse
 from repro.service.server import ConcurrentLabelingService, ServerStats
@@ -100,7 +100,6 @@ __all__ = [
     "BackgroundServer",
     "run_load",
     "CacheStats",
-    "ResultCache",
     "ShardedResultCache",
     "ConcurrentLabelingService",
     "ServerStats",

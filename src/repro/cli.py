@@ -179,8 +179,7 @@ def _cmd_batch_stream(args: argparse.Namespace) -> int:
         "server": server.stats.to_json(),
         "cache": service.stats().to_json(),
     }
-    if hasattr(service.cache, "contention_rate"):
-        summary["shard_lock_wait"] = round(service.cache.contention_rate, 4)
+    summary["shard_lock_wait"] = round(service.cache.contention_rate, 4)
     print(json.dumps(summary), file=sys.stderr)
     return exit_code
 
@@ -439,15 +438,14 @@ def _metrics_workload() -> None:
 
     The quick workload behind a bare ``repro-label metrics``: the SERVICE
     ``mixed-small`` stream through a 2-worker concurrent server (server
-    counters, queue gauges, latency histograms, sharded-cache counters,
-    shard contention), a duplicate solve pair through a single-lock-cache
-    service (the ``tier="single"`` counters), and one dynamic churn pass
-    (APSP and full-refresh counters).  Everything runs inline — no
-    process offload — so the whole thing finishes in well under a second.
+    counters, queue gauges, latency histograms, cache counters, shard
+    contention), one warm repeat of its first request (a cache hit), and
+    one dynamic churn pass (APSP and full-refresh counters).  Everything
+    runs inline — no process offload — so the whole thing finishes in
+    well under a second.
     """
     from concurrent.futures import wait
 
-    from repro.graphs import generators as gen
     from repro.harness.workloads import (
         DYNAMIC,
         SERVICE,
@@ -455,22 +453,15 @@ def _metrics_workload() -> None:
         churn_stream,
         service_stream,
     )
-    from repro.labeling.spec import L21
     from repro.service.server import ConcurrentLabelingService
 
     server = ConcurrentLabelingService(workers=2, offload=False)
     try:
-        futures = [
-            server.submit(r) for r in service_stream(SERVICE["mixed-small"])
-        ]
-        wait(futures)
+        requests = service_stream(SERVICE["mixed-small"])
+        wait([server.submit(r) for r in requests])
+        server.submit(requests[0]).result()  # a warm repeat: a cache hit
     finally:
         server.shutdown(wait=True)
-
-    single = LabelingService(cache_shards=1)
-    g = gen.random_graph_with_diameter_at_most(16, 2, seed=3)
-    single.submit(SolveRequest(g, L21, engine="lk"))       # miss + put
-    single.submit(SolveRequest(g.copy(), L21, engine="lk"))  # hit
 
     base, ops = churn_stream(DYNAMIC["churn-diam2-small"])
     churn_maintain(base, ops)
@@ -575,9 +566,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
             from repro.service.server import ConcurrentLabelingService
 
             owned_service = ConcurrentLabelingService(
+                service=LabelingService(cache_capacity=args.cache_capacity),
                 workers=args.workers,
                 offload=args.offload,
-                cache_capacity=args.cache_capacity,
                 **({} if args.queue_size is None
                    else {"queue_size": args.queue_size}),
             )

@@ -65,32 +65,32 @@ CATALOG: dict[str, tuple[str, str]] = {
         "Row-block materializations whose BFS level overflowed the block "
         "dtype and promoted to the next wider integer type.",
     ),
-    # ---- result caches (label: tier = single | sharded) ---------------
+    # ---- result cache (one per service, unlabelled) -------------------
     "repro_cache_hits_total": (
         COUNTER,
-        "Result-cache lookups answered from a warm entry, by cache tier.",
+        "Result-cache lookups answered from a warm entry.",
     ),
     "repro_cache_misses_total": (
         COUNTER,
-        "Result-cache lookups that found nothing, by cache tier.",
+        "Result-cache lookups that found nothing.",
     ),
     "repro_cache_puts_total": (
         COUNTER,
-        "Entries inserted (or refreshed) into a result cache, by tier.",
+        "Entries inserted (or refreshed) into a result cache.",
     ),
     "repro_cache_evictions_total": (
         COUNTER,
-        "LRU evictions from a result cache, by tier.",
+        "LRU evictions from a result cache.",
     ),
     "repro_shard_lock_contentions_total": (
         GAUGE,
         "Shard-lock acquisitions that found the lock held, summed over "
-        "every shard of the most recently built sharded cache.",
+        "every shard of the most recently built result cache.",
     ),
     "repro_shard_contention_rate": (
         GAUGE,
         "Contended shard-lock acquisitions per acquisition (in [0, 1]) of "
-        "the most recently built sharded cache — the perf-gated "
+        "the most recently built result cache — the perf-gated "
         "shard_lock_wait signal.",
     ),
     # ---- concurrent server --------------------------------------------

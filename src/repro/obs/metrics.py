@@ -11,7 +11,7 @@ the stack emits.  Three instrument kinds cover the surface:
   Prometheus buckets and interpolated p50/p95/p99 summaries.
 
 Instruments are *families*: ``registry.counter(name)`` returns the family,
-``family.labels(tier="sharded")`` a labelled child; calling ``inc`` /
+``family.labels(tier="exact")`` a labelled child; calling ``inc`` /
 ``set`` / ``observe`` on the family operates on its unlabelled child.
 Names are validated and, for the default :data:`REGISTRY`, must agree with
 the catalogue (:mod:`repro.obs.catalog`) on type — the catalogue is also

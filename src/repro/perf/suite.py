@@ -676,7 +676,8 @@ def qos_overload_scenario(quick: bool, repeats: int) -> PerfRecord:
     rate = 150.0 if quick else 200.0
     duration = 0.75 if quick else 1.5
     service = ConcurrentLabelingService(
-        workers=1, offload=False, queue_size=8, cache_capacity=1
+        LabelingService(cache_capacity=1),
+        workers=1, offload=False, queue_size=8,
     )
     server = BackgroundServer(service=service)
     try:

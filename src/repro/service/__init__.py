@@ -4,11 +4,11 @@ Layer map (bottom up):
 
 * :mod:`repro.service.canonical` — relabeling-invariant canonical forms and
   stable cache keys for ``(Graph, LpSpec)`` requests;
-* :mod:`repro.service.cache` — thread-safe LRU of solved labelings with
-  hit/miss/eviction stats and optional JSON persistence;
-* :mod:`repro.service.shard` — the same cache contract split over N
-  independently locked shards (the default for services), with
-  lock-contention stats the perf baseline gates;
+* :mod:`repro.service.cache` — the cache's value types: a memoized solve
+  and the hit/miss/eviction counters;
+* :mod:`repro.service.shard` — the result cache: a thread-safe LRU split
+  over independently locked shards, with optional JSON persistence and
+  the lock-contention stats the perf baseline gates;
 * :mod:`repro.service.executor` — the one solve executor every request
   path hands its cache misses to: inline, or on the persistent
   shared-memory worker pool;
@@ -21,7 +21,7 @@ Layer map (bottom up):
 """
 
 from repro.service.api import BatchReport, LabelingService, solve_record
-from repro.service.cache import CachedSolve, CacheStats, ResultCache
+from repro.service.cache import CachedSolve, CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form, canonical_order
 from repro.service.protocol import SolveRequest, SolveResponse
 from repro.service.server import ConcurrentLabelingService, ServerStats
@@ -35,7 +35,6 @@ __all__ = [
     "SolveResponse",
     "CachedSolve",
     "CacheStats",
-    "ResultCache",
     "ShardedResultCache",
     "ConcurrentLabelingService",
     "ServerStats",

@@ -3,12 +3,11 @@
 One service instance owns one cache and one solve executor; everything that
 solves repeatedly (`LabelingSession` loops, the CLI ``batch`` subcommand,
 sweep scripts) should route through a shared service so isomorphic work is
-paid for once.  The cache is *sharded* by default
-(:class:`~repro.service.shard.ShardedResultCache`): concurrent callers —
+paid for once.  The cache is a
+:class:`~repro.service.shard.ShardedResultCache`: concurrent callers —
 the :class:`~repro.service.server.ConcurrentLabelingService` worker pool,
 or any threads sharing one service — contend per shard, not on one global
-lock.  ``cache_shards=1`` restores the single-lock
-:class:`~repro.service.cache.ResultCache`.
+lock.
 
 Calls are synchronous (submit-and-wait on the caller's thread); for a
 queued, multi-worker front end with backpressure and in-flight dedup, wrap
@@ -26,7 +25,7 @@ from pathlib import Path
 from repro.graphs.graph import Graph
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import default_workers
-from repro.service.cache import CachedSolve, CacheStats, ResultCache
+from repro.service.cache import CachedSolve, CacheStats
 from repro.service.canonical import canonical_form
 from repro.service.executor import (
     SolveExecutor,
@@ -36,7 +35,7 @@ from repro.service.executor import (
     _resolved_tier,
 )
 from repro.service.protocol import SolveRequest, SolveResponse
-from repro.service.shard import DEFAULT_SHARDS, ShardedResultCache
+from repro.service.shard import ShardedResultCache
 
 
 @dataclass(frozen=True)
@@ -109,16 +108,9 @@ class LabelingService:
         cache_capacity: int = 4096,
         cache_path: str | Path | None = None,
         workers: int | None = None,
-        cache_shards: int = DEFAULT_SHARDS,
     ) -> None:
-        """Build the cache (sharded unless ``cache_shards <= 1``) and executor."""
-        self.cache = (
-            ShardedResultCache(
-                capacity=cache_capacity, shards=cache_shards, path=cache_path
-            )
-            if cache_shards > 1
-            else ResultCache(capacity=cache_capacity, path=cache_path)
-        )
+        """Build the cache and the executor."""
+        self.cache = ShardedResultCache(capacity=cache_capacity, path=cache_path)
         width = workers or default_workers()
         self.executor = SolveExecutor(width, offload=width > 1, pool_min=2)
 
@@ -209,7 +201,7 @@ class LabelingService:
         return self.cache.stats
 
     def save_cache(self, path: str | Path | None = None) -> Path:
-        """Persist the cache (see :meth:`ResultCache.save`)."""
+        """Persist the cache (see :meth:`ShardedResultCache.save`)."""
         return self.cache.save(path)
 
     def close(self) -> None:

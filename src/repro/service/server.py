@@ -23,7 +23,7 @@ SolveExecutor` every cache miss runs on:
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
   isomorphic requests share the solve, never the coordinates).
-- **Sharded cache fast path** — submissions probe the
+- **Cache fast path** — submissions probe the service's
   :class:`~repro.service.shard.ShardedResultCache` before queueing, so a
   warm request costs one shard lock and never touches the queue.
 - **Graceful drain/shutdown** — :meth:`shutdown` stops intake, then either
@@ -309,13 +309,14 @@ class _Job(SolveTask):
 
 
 class ConcurrentLabelingService:
-    """Thread-pool serving front-end over the sharded caching service.
+    """Thread-pool serving front-end over the caching service.
 
     Parameters
     ----------
     service:
         The underlying :class:`LabelingService`, whose cache this server
-        shares.  Built with a sharded cache when omitted.
+        shares.  A default one when omitted; pass a service built with
+        ``cache_capacity``/``cache_path`` to size or persist the cache.
     workers:
         Worker-thread count.  Also the persistent worker-pool width when
         cold solves are offloaded (see ``offload``).
@@ -346,8 +347,6 @@ class ConcurrentLabelingService:
         queue_size: int = DEFAULT_QUEUE_SIZE,
         block: bool = True,
         offload: bool | None = None,
-        cache_capacity: int = 4096,
-        cache_shards: int | None = None,
         start_method: str | None = None,
         router: QosRouter | None = None,
     ) -> None:
@@ -356,10 +355,7 @@ class ConcurrentLabelingService:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
             raise ReproError(f"queue_size must be >= 1, got {queue_size}")
-        if service is None:
-            kwargs = {} if cache_shards is None else {"cache_shards": cache_shards}
-            service = LabelingService(cache_capacity=cache_capacity, **kwargs)
-        self.service = service
+        self.service = service if service is not None else LabelingService()
         #: Tier selection policy; pass a pre-configured :class:`QosRouter`
         #: to tune the degradation thresholds.
         self.router = router if router is not None else QosRouter(queue_size)

@@ -1,26 +1,28 @@
-"""Sharded result cache: N independently locked LRU shards.
+"""The result cache: an LRU of solved labelings split over locked shards.
 
-Under concurrent serving the single :class:`~repro.service.cache.ResultCache`
-lock becomes the contention point — every worker's lookup and every client's
-fast-path probe serialize on one mutex even though they touch different
-keys.  :class:`ShardedResultCache` splits the key space over ``shards``
-independent :class:`~repro.service.cache.ResultCache` instances (stable
-CRC32 of the key picks the shard), so two operations contend only when they
-land on the same shard: with shards ≫ worker threads the probability is
-small and the expected wait is a fraction of the single-lock design's.
+The cache stores solved labelings in *canonical coordinates* (see
+:mod:`repro.service.canonical`), keyed by the canonical hash of the request.
+Entries are tiny — a label tuple plus scalars — so capacities in the
+thousands are cheap; eviction is least-recently-used within a shard.
+
+Under concurrent serving one global lock would be the contention point —
+every worker's lookup and every client's fast-path probe would serialize on
+one mutex even though they touch different keys.  :class:`ShardedResultCache`
+splits the key space over ``min(DEFAULT_SHARDS, capacity)`` independently
+locked LRU maps (stable CRC32 of the key picks the shard), so two
+operations contend only when they land on the same shard.  The shard
+capacities sum exactly to ``capacity``, so the cache never holds more.
 
 Each shard's lock additionally *counts contended acquisitions* (an acquire
 that found the lock held), so the serving layer can report a
 ``shard_lock_wait`` rate — the perf baseline gates it: sharding the cache
 must never become a regression in disguise.
 
-The aggregate keeps the single cache's interface (``get``/``peek``/``put``/
-``stats``/``save``/``load``), and persistence uses the *same JSON format*,
-so a file written by a plain ``ResultCache`` warms a sharded one and vice
-versa.
+Persistence is a plain JSON file so a service restart (or a second CLI
+invocation pointed at the same ``--cache`` file) starts warm.
 
 >>> from repro.service.cache import CachedSolve
->>> c = ShardedResultCache(capacity=64, shards=4)
+>>> c = ShardedResultCache(capacity=64)
 >>> c.put("a", CachedSolve((0, 2), 2, "lk", False))
 >>> c.get("a").span
 2
@@ -37,21 +39,25 @@ import os
 import tempfile
 import threading
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
-from repro.service.cache import (
-    _PERSIST_VERSION,
-    CachedSolve,
-    CacheStats,
-    ResultCache,
-)
+from repro.service.cache import CachedSolve, CacheStats
 
 #: Default shard count.  Sixteen shards keep the expected contention rate
 #: under 1/16 per colliding pair while the per-shard overhead (a lock and an
 #: OrderedDict) stays trivial.
 DEFAULT_SHARDS = 16
+
+#: Format marker for persisted cache files.
+_PERSIST_VERSION = 1
+
+_M_HITS = REGISTRY.counter("repro_cache_hits_total").labels()
+_M_MISSES = REGISTRY.counter("repro_cache_misses_total").labels()
+_M_PUTS = REGISTRY.counter("repro_cache_puts_total").labels()
+_M_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total").labels()
 
 
 class _ContentionLock:
@@ -89,58 +95,58 @@ class _ContentionLock:
         return self._lock.locked()
 
 
-class _CacheShard(ResultCache):
-    """One shard: a plain :class:`ResultCache` behind a counting lock."""
+class _Shard:
+    """One shard: an LRU map, its lifetime stats and its entry budget."""
+
+    __slots__ = ("lock", "entries", "stats", "capacity")
 
     def __init__(self, capacity: int) -> None:
-        """A path-less ResultCache guarded by a counting lock."""
-        super().__init__(capacity=capacity, path=None, metrics_tier="sharded")
-        self._lock = _ContentionLock()  # replaces the plain mutex
+        """An empty shard holding at most ``capacity`` entries."""
+        self.lock = _ContentionLock()
+        self.entries: OrderedDict[str, CachedSolve] = OrderedDict()
+        self.stats = CacheStats()
+        self.capacity = capacity
 
-    @property
-    def lock_contentions(self) -> int:
-        """How many acquisitions of this shard's lock found it held."""
-        return self._lock.contended
+    def trim(self) -> None:
+        """Evict LRU entries down to capacity (caller holds the lock)."""
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.stats.evictions += 1
+            _M_EVICTIONS.inc()
 
 
 class ShardedResultCache:
-    """LRU result cache split over independently locked shards.
+    """LRU cache of :class:`CachedSolve` entries keyed by canonical hash.
 
     Parameters
     ----------
     capacity:
-        Total entry budget, divided evenly across shards (each shard
-        evicts independently, so the instantaneous total can sit slightly
-        under ``capacity`` when the key distribution is skewed).
-    shards:
-        Number of independent locks/LRU maps.  ``1`` degenerates to the
-        single-lock design (useful for A/B measurements).
+        Total entry budget.  It is split over ``min(DEFAULT_SHARDS,
+        capacity)`` shards whose capacities sum exactly to ``capacity``
+        (each shard evicts independently, so the total can sit under
+        ``capacity`` when the key distribution is skewed, never over).
     path:
-        Optional JSON persistence path, same format and semantics as
-        :class:`~repro.service.cache.ResultCache` (load on construction
-        when the file exists, explicit :meth:`save`).
+        Optional JSON persistence path: an existing file warm-starts the
+        cache on construction; :meth:`save` writes it back.
     """
 
     def __init__(
-        self,
-        capacity: int = 4096,
-        shards: int = DEFAULT_SHARDS,
-        path: str | Path | None = None,
+        self, capacity: int = 4096, path: str | Path | None = None
     ) -> None:
-        """Split ``capacity`` across ``shards`` independent LRU caches."""
+        """Split ``capacity`` across the shards; load ``path`` if present."""
         if capacity < 1:
             raise ReproError(f"cache capacity must be >= 1, got {capacity}")
-        if shards < 1:
-            raise ReproError(f"shard count must be >= 1, got {shards}")
-        shards = min(shards, capacity)  # a shard needs room for >= 1 entry
         self.capacity = capacity
         self.path = Path(path) if path is not None else None
-        per_shard = -(-capacity // shards)  # ceil division
-        self._shards = tuple(_CacheShard(per_shard) for _ in range(shards))
+        shards = min(DEFAULT_SHARDS, capacity)  # a shard needs room for one
+        base, extra = divmod(capacity, shards)
+        self._shards = tuple(
+            _Shard(base + (i < extra)) for i in range(shards)
+        )
         # Contention gauges sample this instance through a weak reference —
-        # the most recently built sharded cache owns the gauge, and a
-        # collected cache leaves the last sampled value behind instead of
-        # being pinned alive by the registry.
+        # the most recently built cache owns the gauge, and a collected
+        # cache leaves the last sampled value behind instead of being
+        # pinned alive by the registry.
         REGISTRY.gauge("repro_shard_contention_rate").set_function(
             lambda cache: cache.contention_rate, owner=self
         )
@@ -156,35 +162,61 @@ class ShardedResultCache:
         """The number of independent shards."""
         return len(self._shards)
 
-    def _shard_for(self, key: str) -> _CacheShard:
+    def _shard_for(self, key: str) -> _Shard:
         """Stable key→shard routing (CRC32, process-independent)."""
         return self._shards[zlib.crc32(key.encode("utf-8")) % len(self._shards)]
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> CachedSolve | None:
-        """Shard-local lookup, counting a hit or miss and refreshing recency."""
-        return self._shard_for(key).get(key)
+        """Look up a key, counting a hit or miss and refreshing recency."""
+        shard = self._shard_for(key)
+        with shard.lock:
+            entry = shard.entries.get(key)
+            if entry is None:
+                shard.stats.misses += 1
+                _M_MISSES.inc()
+                return None
+            shard.entries.move_to_end(key)
+            shard.stats.hits += 1
+            _M_HITS.inc()
+            return entry
 
     def peek(self, key: str) -> CachedSolve | None:
-        """Shard-local lookup without touching stats or recency."""
-        return self._shard_for(key).peek(key)
+        """Look up a key without touching stats or recency."""
+        shard = self._shard_for(key)
+        with shard.lock:
+            return shard.entries.get(key)
 
     def put(self, key: str, value: CachedSolve) -> None:
-        """Shard-local insert; eviction pressure never crosses shards."""
-        self._shard_for(key).put(key, value)
+        """Insert (or refresh) an entry, evicting its shard's LRU tail."""
+        shard = self._shard_for(key)
+        with shard.lock:
+            if key in shard.entries:
+                shard.entries.move_to_end(key)
+            shard.entries[key] = value
+            shard.stats.puts += 1
+            _M_PUTS.inc()
+            shard.trim()
 
     def clear(self) -> None:
-        """Empty every shard (stats are lifetime counters and survive)."""
+        """Drop every entry (lifetime stats are preserved)."""
         for shard in self._shards:
-            shard.clear()
+            with shard.lock:
+                shard.entries.clear()
 
     def __len__(self) -> int:
         """Live entries summed across shards."""
-        return sum(len(s) for s in self._shards)
+        total = 0
+        for shard in self._shards:
+            with shard.lock:
+                total += len(shard.entries)
+        return total
 
     def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is cached (single-shard check, no side effects)."""
-        return key in self._shard_for(key)
+        """Whether ``key`` is cached (no stats or recency side effects)."""
+        shard = self._shard_for(key)
+        with shard.lock:
+            return key in shard.entries
 
     # ------------------------------------------------------------------
     @property
@@ -205,7 +237,7 @@ class ShardedResultCache:
     @property
     def lock_contentions(self) -> int:
         """Total contended shard-lock acquisitions across all shards."""
-        return sum(s.lock_contentions for s in self._shards)
+        return sum(s.lock.contended for s in self._shards)
 
     @property
     def contention_rate(self) -> float:
@@ -218,25 +250,24 @@ class ShardedResultCache:
         lengths.  The perf baseline gates this as ``shard_lock_wait``: it
         may never rise.
         """
-        acquisitions = sum(s._lock.acquisitions for s in self._shards)
+        acquisitions = sum(s.lock.acquisitions for s in self._shards)
         return self.lock_contentions / acquisitions if acquisitions else 0.0
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path | None = None) -> Path:
         """Persist all shards as one JSON file (atomic rename).
 
-        The payload is byte-compatible with
-        :meth:`repro.service.cache.ResultCache.save`, so sharded and
-        single-lock caches can warm-start from each other's files.
+        Returns the path written; ``path`` defaults to the construction
+        path.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ReproError("no persistence path configured for this cache")
         entries: dict[str, dict] = {}
         for shard in self._shards:
-            with shard._lock:
+            with shard.lock:
                 entries.update(
-                    (k, v.to_json()) for k, v in shard._entries.items()
+                    (k, v.to_json()) for k, v in shard.entries.items()
                 )
         payload = {"version": _PERSIST_VERSION, "entries": entries}
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -256,9 +287,9 @@ class ShardedResultCache:
     def load(self, path: str | Path) -> int:
         """Merge entries from a JSON file, routing each to its shard.
 
-        Accepts files written by either cache flavour; returns how many
-        entries the file held (unknown versions load zero, exactly like
-        :meth:`ResultCache.load`).
+        Returns how many entries the file held.  Unknown versions load
+        zero (a key-derivation bump makes old entries unreachable anyway,
+        so silently starting cold is correct).
         """
         source = Path(path)
         try:
@@ -276,10 +307,7 @@ class ShardedResultCache:
             raise ReproError(f"malformed cache file {source}: {exc!r}") from exc
         for k, entry in decoded.items():
             shard = self._shard_for(k)
-            with shard._lock:
-                shard._entries[k] = entry
-                while len(shard._entries) > shard.capacity:
-                    shard._entries.popitem(last=False)
-                    shard.stats.evictions += 1
-                    shard._m_evictions.inc()
+            with shard.lock:
+                shard.entries[k] = entry
+                shard.trim()
         return len(entries)

@@ -359,23 +359,26 @@ class TestLegacyCounterEquivalence:
         )
 
     def test_cache_counters_mirror_stats(self):
-        from repro.service.cache import CachedSolve, ResultCache
+        from repro.service.cache import CachedSolve
+        from repro.service.shard import ShardedResultCache
 
-        h0 = REGISTRY.value("repro_cache_hits_total", tier="single")
-        m0 = REGISTRY.value("repro_cache_misses_total", tier="single")
-        c = ResultCache(capacity=2)
+        h0 = REGISTRY.value("repro_cache_hits_total")
+        m0 = REGISTRY.value("repro_cache_misses_total")
+        c = ShardedResultCache(capacity=2)
         c.get("x")
         c.put("x", CachedSolve((0,), 0, "lk", False))
         c.get("x")
-        assert REGISTRY.value("repro_cache_hits_total", tier="single") == h0 + 1
-        assert REGISTRY.value("repro_cache_misses_total", tier="single") == m0 + 1
+        assert REGISTRY.value("repro_cache_hits_total") == h0 + 1
+        assert REGISTRY.value("repro_cache_misses_total") == m0 + 1
         assert (c.stats.hits, c.stats.misses) == (1, 1)
+        exposition = REGISTRY.render_prom()
+        assert 'repro_cache_hits_total{' not in exposition
 
     def test_shard_contention_gauge_tracks_owner(self):
         from repro.service.cache import CachedSolve
         from repro.service.shard import ShardedResultCache
 
-        cache = ShardedResultCache(capacity=64, shards=4)
+        cache = ShardedResultCache(capacity=64)
         cache.put("k", CachedSolve((0,), 0, "lk", False))
         cache.get("k")
         assert REGISTRY.value("repro_shard_contention_rate") == (

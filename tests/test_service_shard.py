@@ -1,12 +1,34 @@
-"""Tests for the sharded result cache (`repro.service.shard`)."""
+"""Sharding of the result cache (`repro.service.shard`): routing, capacity
+split, per-shard stats, lock contention and the persisted file format."""
 
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.service.cache import CachedSolve, ResultCache
+from repro.graphs.generators import complete_graph, cycle_graph
+from repro.labeling.spec import L21
+from repro.service import shard
+from repro.service.api import LabelingService
+from repro.service.cache import CachedSolve
+from repro.service.protocol import SolveRequest
 from repro.service.shard import ShardedResultCache, _ContentionLock
+
+#: A cache file in the version-1 format, as the service has written it
+#: since persistence landed: C5 under L(2,1) solved by Held-Karp and K4 by
+#: LK.  The second entry has no ``gap`` field, as in files written before
+#: the approx tier existed.
+VERSION_1_FILE = (
+    '{"version": 1, "entries": {'
+    '"15a87bfe4b53572a1be8264fac8a8c089f7e63889555288792002d2c0b8d1866'
+    ':held_karp": {"labels": [4, 1, 2, 3, 0], "span": 4, '
+    '"engine": "held_karp", "exact": true, "gap": null}, '
+    '"345df6e98f0d596df1de03a3462e6c00d0d107663d02ed48f92e29d47cc31ffc'
+    ':lk": {"labels": [2, 4, 0, 6], "span": 6, "engine": "lk", '
+    '"exact": false}}}'
+)
 
 
 def entry(span: int = 2) -> CachedSolve:
@@ -14,7 +36,7 @@ def entry(span: int = 2) -> CachedSolve:
 
 
 def test_basic_get_put_contains_len():
-    c = ShardedResultCache(capacity=64, shards=4)
+    c = ShardedResultCache(capacity=64)
     keys = [f"key-{i:03d}" for i in range(20)]
     for i, k in enumerate(keys):
         c.put(k, entry(i))
@@ -27,8 +49,9 @@ def test_basic_get_put_contains_len():
     assert c.peek(keys[0]).span == 0
 
 
-def test_routing_is_deterministic_and_spread():
-    c = ShardedResultCache(capacity=256, shards=8)
+def test_routing_is_deterministic_and_spread(monkeypatch):
+    monkeypatch.setattr(shard, "DEFAULT_SHARDS", 8)
+    c = ShardedResultCache(capacity=256)
     keys = [f"{i:x}" * 4 for i in range(200)]
     for k in keys:
         assert c._shard_for(k) is c._shard_for(k)
@@ -42,7 +65,7 @@ def test_routing_is_deterministic_and_spread():
 
 
 def test_stats_aggregate_over_shards():
-    c = ShardedResultCache(capacity=64, shards=4)
+    c = ShardedResultCache(capacity=64)
     for i in range(12):
         c.put(f"k{i}", entry())
     hits = sum(c.get(f"k{i}") is not None for i in range(12))
@@ -58,8 +81,9 @@ def test_stats_aggregate_over_shards():
         assert s.hits + s.misses == s.lookups
 
 
-def test_eviction_is_per_shard():
-    c = ShardedResultCache(capacity=4, shards=2)
+def test_eviction_is_per_shard(monkeypatch):
+    monkeypatch.setattr(shard, "DEFAULT_SHARDS", 2)
+    c = ShardedResultCache(capacity=4)
     for i in range(40):
         c.put(f"key-{i}", entry(i))
     # per-shard capacity is 2, so at most 4 entries survive in total
@@ -68,15 +92,32 @@ def test_eviction_is_per_shard():
 
 
 def test_shards_capped_by_capacity_and_validation():
-    assert ShardedResultCache(capacity=2, shards=16).shards == 2
+    assert ShardedResultCache(capacity=2).shards == 2
+    assert ShardedResultCache().shards == shard.DEFAULT_SHARDS
     with pytest.raises(ReproError):
         ShardedResultCache(capacity=0)
-    with pytest.raises(ReproError):
-        ShardedResultCache(shards=0)
+
+
+@pytest.mark.parametrize("capacity", [1, 17, 20, 100, 4096])
+def test_shard_capacities_sum_to_capacity(capacity):
+    caps = [s.capacity for s in ShardedResultCache(capacity=capacity)._shards]
+    assert sum(caps) == capacity
+    assert max(caps) - min(caps) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 300), factor=st.integers(3, 5))
+def test_never_holds_more_than_capacity(capacity, factor):
+    c = ShardedResultCache(capacity=capacity)
+    puts = factor * capacity
+    for i in range(puts):
+        c.put(f"key-{i}", entry(i % 7))
+    assert len(c) <= capacity
+    assert len(c) + c.stats.evictions == puts
 
 
 def test_clear_keeps_lifetime_stats():
-    c = ShardedResultCache(capacity=16, shards=2)
+    c = ShardedResultCache(capacity=16)
     c.put("a", entry())
     assert c.get("a") is not None
     c.clear()
@@ -85,22 +126,22 @@ def test_clear_keeps_lifetime_stats():
     assert c.stats.puts == 1 and c.stats.hits == 1 and c.stats.misses == 1
 
 
-def test_persistence_interop_with_single_lock_cache(tmp_path):
-    # single-lock -> sharded
-    plain = ResultCache(capacity=32, path=tmp_path / "plain.json")
-    for i in range(10):
-        plain.put(f"k{i}", entry(i))
-    plain.save()
-    sharded = ShardedResultCache(
-        capacity=32, shards=4, path=tmp_path / "plain.json"
-    )
-    assert len(sharded) == 10
-    assert sharded.peek("k3").span == 3
-    # sharded -> single-lock
-    out = sharded.save(tmp_path / "sharded.json")
-    warm = ResultCache(capacity=32, path=out)
-    assert len(warm) == 10
-    assert warm.peek("k7").span == 7
+def test_version1_file_warms_the_cache(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(VERSION_1_FILE)
+    assert ShardedResultCache(capacity=8).load(path) == 2
+    with LabelingService(cache_path=path, workers=1) as svc:
+        assert len(svc.cache) == 2
+        c5 = svc.submit(SolveRequest(cycle_graph(5), L21, engine="held_karp"))
+        k4 = svc.submit(SolveRequest(complete_graph(4), L21, engine="lk"))
+        assert (c5.cached, c5.span, c5.exact) == (True, 4, True)
+        assert (k4.cached, k4.span) == (True, 6)
+        assert svc.stats().misses == 0
+        # a save writes the same format back
+        out = svc.save_cache(tmp_path / "again.json")
+    assert ShardedResultCache(capacity=8, path=out).peek(
+        "345df6e98f0d596df1de03a3462e6c00d0d107663d02ed48f92e29d47cc31ffc:lk"
+    ) == CachedSolve((2, 4, 0, 6), 6, "lk", False)
 
 
 def test_save_requires_path():
@@ -149,7 +190,7 @@ def test_contention_lock_counts_contended_acquisitions():
 
 
 def test_contention_rate_bounds():
-    c = ShardedResultCache(capacity=16, shards=2)
+    c = ShardedResultCache(capacity=16)
     assert c.contention_rate == 0.0
     c.put("a", entry())
     c.get("a")
