@@ -3,7 +3,8 @@
 Two claims, both asserted (so ``make bench`` is also a correctness gate):
 
 1. the vectorized multi-source APSP beats the per-source BFS reference on
-   the E-suite graph sizes, with **bit-identical** distance matrices;
+   the E-suite graph sizes and on a random tree and a long cycle past
+   ``MATMUL_ROWS_LIMIT``, with **bit-identical** distance matrices;
 2. a solve through :class:`~repro.service.api.LabelingService` (canonical
    key + cache-miss solve + verify) runs the APSP kernel **exactly once**,
    and a warm isomorphic resubmit adds exactly one more (its own key).
@@ -13,6 +14,7 @@ Run quickly (no timed benchmark rounds) with ``make bench-quick``.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -32,6 +34,20 @@ from repro.service.protocol import SolveRequest
 #: E-suite scaling sizes (E3 sweeps diameter-2 graphs in this range).
 SIZES = (40, 70, 100)
 
+#: Graphs the APSP race runs on: the E-suite diameter-2 sizes, plus a random
+#: tree and a long cycle — large diameters on which a dense matmul kernel
+#: (``k * n^2`` work per BFS level) loses to the per-source reference.
+APSP_CASES = [
+    pytest.param(
+        functools.partial(gen.random_graph_with_diameter_at_most, n, 2, seed=0),
+        id=str(n),
+    )
+    for n in SIZES
+] + [
+    pytest.param(functools.partial(gen.random_tree, 256, seed=0), id="tree256"),
+    pytest.param(functools.partial(gen.cycle_graph, 250), id="cycle250"),
+]
+
 
 def _best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
@@ -42,9 +58,9 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_vectorized_apsp_equal_and_faster(n):
-    g = gen.random_graph_with_diameter_at_most(n, 2, seed=0)
+@pytest.mark.parametrize("make", APSP_CASES)
+def test_vectorized_apsp_equal_and_faster(make):
+    g = make()
     vec = all_pairs_distances(g)
     ref = all_pairs_distances_reference(g)
     assert vec.dtype == ref.dtype
@@ -54,7 +70,7 @@ def test_vectorized_apsp_equal_and_faster(n):
     t_ref = _best_of(lambda: all_pairs_distances_reference(g))
     # the win is a large constant factor; 2x is a deliberately loose floor
     assert t_vec * 2 < t_ref, (
-        f"vectorized APSP not faster at n={n}: {t_vec:.6f}s vs {t_ref:.6f}s"
+        f"vectorized APSP not faster at n={g.n}: {t_vec:.6f}s vs {t_ref:.6f}s"
     )
 
 

@@ -10,17 +10,19 @@ to the per-mutation :attr:`repro.graphs.graph.Graph.mutation_log`:
   NumPy pass; distances only decrease, and any new shortest path crosses
   the new edge);
 - **edge delete** — recompute only the rows whose shortest paths could
-  have used the removed edge (``|d(i,u) - d(i,v)| == 1``), by multi-source
-  frontier expansion over the maintained adjacency; falls back to a full
-  APSP when the touched fraction exceeds a threshold;
+  have used the removed edge (``|d(i,u) - d(i,v)| == 1``) with
+  :func:`repro.graphs.traversal.distance_rows`, the same kernel entry
+  point the full APSP uses; falls back to a full APSP when the touched
+  fraction exceeds :data:`DELETE_FALLBACK_FRACTION`;
 - **vertex add** — pad the matrix with an unreachable row/column.
 
 Every fallback to a full recompute is counted by
 :func:`full_apsp_refresh_count`, which the perf baseline gates (the
 ``DYNAMIC`` workload leg's ``full_apsp_refresh_count`` may never rise).
-Entry points: the stateful :class:`DeltaEngine` (sessions, churn loops)
-and the stateless :func:`refresh_analysis` / :func:`apply_delta` behind
-``GraphAnalysis.refresh()`` / ``GraphAnalysis.apply_delta()``.
+There is one repair path, the stateful :class:`DeltaEngine` (sessions,
+churn loops); the stateless :func:`refresh_analysis` / :func:`apply_delta`
+behind ``GraphAnalysis.refresh()`` / ``GraphAnalysis.apply_delta()`` run a
+throwaway engine seeded from the prior analysis.
 """
 
 from repro.dynamic.engine import (
@@ -28,7 +30,6 @@ from repro.dynamic.engine import (
     DeltaEngine,
     affected_sources,
     apply_delta,
-    distance_rows,
     full_apsp_refresh_count,
     refresh_analysis,
     relax_insert,
@@ -39,7 +40,6 @@ __all__ = [
     "DeltaEngine",
     "affected_sources",
     "apply_delta",
-    "distance_rows",
     "full_apsp_refresh_count",
     "refresh_analysis",
     "relax_insert",

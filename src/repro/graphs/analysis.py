@@ -405,7 +405,8 @@ class GraphAnalysis:
         """The full ``n x n`` distance matrix, computed on first access.
 
         At ``n <= DENSE_MATERIALIZE_LIMIT`` this is the dense ``int64``
-        vectorized APSP, unchanged.  Above the limit the matrix is
+        matrix of :func:`~repro.graphs.traversal.all_pairs_distances`.
+        Above the limit the matrix is
         assembled from the lazy oracle's ``int16`` row blocks — 4x smaller,
         and any blocks already resident are reused rather than recomputed.
         Prefer :meth:`row` / :meth:`rows` / :meth:`iter_row_blocks` on

@@ -1,13 +1,18 @@
 """Breadth-first traversal, distances, connectivity, diameter.
 
-The all-pairs routine is the substrate for the Theorem-2 reduction.  It used
-to run one Python ``deque`` BFS per source; it is now a **vectorized
-multi-source frontier expansion**: all ``n`` BFS trees advance one level per
-iteration through a boolean frontier-matrix × adjacency-matrix product.  On
-the paper's regime (``diam(G) <= k``, tiny) that is ``O(diam)`` NumPy passes
-total — a large constant-factor win over ``n`` interpreted BFS loops.  The
-per-source implementation is kept as :func:`all_pairs_distances_reference`,
-the correctness oracle for the property tests and the benchmark baseline.
+The all-pairs routine is the substrate for the Theorem-2 reduction.  One
+entry point computes distance rows from a dense boolean adjacency,
+:func:`distance_rows`, and it runs one of two kernels.  Up to
+:data:`MATMUL_ROWS_LIMIT` vertices, all BFS trees advance one level per
+iteration through a boolean frontier-matrix x adjacency-matrix product;
+each level costs ``k * n^2``, which only pays while ``n`` is small.  Above
+it, rows come from :func:`distance_rows_csr`, whose levels cost the edges
+the frontier actually touches (or the frontier's packed adjacency bitsets),
+so long paths and trees never pay ``diam * k * n^2``.
+:func:`all_pairs_distances` is the counted all-sources call of that entry
+point.  The per-source Python BFS is kept as
+:func:`all_pairs_distances_reference`, the correctness oracle for the
+property tests and the benchmark baseline.
 
 Whole-graph queries (``diameter``/``radius``/``eccentricities``) route
 through the memoized :mod:`repro.graphs.analysis` oracle so the distance
@@ -68,27 +73,56 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def all_pairs_distances(graph: Graph) -> np.ndarray:
-    """The full ``n x n`` distance matrix by multi-source frontier expansion.
+#: Largest vertex count for which :func:`distance_rows` runs the dense
+#: boolean-matmul expansion; larger graphs go to :func:`distance_rows_csr`.
+#: A matmul level costs ``k * n^2`` whatever the frontier holds, so the
+#: dense step only wins on small graphs; measured on 2 vCPUs, the CSR/bit
+#: kernel won every full-APSP case above 64 vertices (diameter-2, random
+#: tree, path; see docs/scaling.md).
+MATMUL_ROWS_LIMIT = 64
 
-    Level ``d+1`` of every BFS tree is one boolean matmul: rows of
-    ``frontier`` are the per-source level-``d`` sets, so ``frontier @ adj``
-    marks every vertex adjacent to the current frontier, and masking out
-    already-reached vertices leaves exactly level ``d+1``.  The loop runs
-    once per distinct distance value (``diam(G)`` times on connected
-    graphs).  Unreachable pairs hold ``UNREACHABLE``.
 
-    Prefer :func:`repro.graphs.analysis.get_analysis` over calling this
-    directly — the oracle memoizes the result per graph version.
+def distance_rows(
+    adj: np.ndarray, sources: np.ndarray, dtype=np.int64
+) -> np.ndarray:
+    """Exact BFS distance rows for ``sources`` over boolean adjacency ``adj``.
+
+    Up to :data:`MATMUL_ROWS_LIMIT` vertices, level ``d+1`` of every BFS
+    tree is one boolean matmul: rows of ``frontier`` are the per-source
+    level-``d`` sets, so ``frontier @ adj`` marks every vertex adjacent to
+    the current frontier, and masking out already-reached vertices leaves
+    exactly level ``d+1``.  Larger graphs go to :func:`distance_rows_csr`
+    after one ``np.nonzero`` pass over ``adj``, where the frontier work is
+    proportional to the edges actually traversed.  Rows come back in
+    ``dtype``; on the CSR path a level that would overflow it promotes to
+    the next wider integer type.  Unreachable pairs hold ``UNREACHABLE``.
+    Does not count toward :func:`apsp_run_count`.
     """
-    _APSP_RUNS.inc()
-    n = graph.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    if n == 0:
+    n = adj.shape[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    if n > MATMUL_ROWS_LIMIT:
+        # np.nonzero walks row-major, so tails arrive grouped by head —
+        # already a valid CSR indices array under the bincount indptr
+        heads, tails = np.nonzero(adj)
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(heads, minlength=n)))
+        ).astype(np.int64)
+        return distance_rows_csr(
+            indptr, tails.astype(np.int64), sources, n, dtype=dtype
+        )
+    return _matmul_rows(adj, sources, dtype)
+
+
+def _matmul_rows(adj: np.ndarray, sources: np.ndarray, dtype) -> np.ndarray:
+    """The dense step of :func:`distance_rows`: one boolean matmul per level."""
+    n = adj.shape[0]
+    k = sources.shape[0]
+    dist = np.full((k, n), UNREACHABLE, dtype=dtype)
+    if k == 0 or n == 0:
         return dist
-    np.fill_diagonal(dist, 0)
-    adj = graph.adjacency_matrix(dtype=np.bool_)
-    reached = np.eye(n, dtype=bool)
+    dist[np.arange(k), sources] = 0
+    reached = np.zeros((k, n), dtype=bool)
+    reached[np.arange(k), sources] = True
     frontier = reached.copy()
     level = 0
     while True:
@@ -99,6 +133,19 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
         dist[frontier] = level
         reached |= frontier
     return dist
+
+
+def all_pairs_distances(graph: Graph) -> np.ndarray:
+    """The full ``n x n`` ``int64`` distance matrix (one counted kernel run).
+
+    :func:`distance_rows` over every source.  Prefer
+    :func:`repro.graphs.analysis.get_analysis` over calling this directly —
+    the oracle memoizes the result per graph version.
+    """
+    _APSP_RUNS.inc()
+    return distance_rows(
+        graph.adjacency_matrix(dtype=np.bool_), np.arange(graph.n)
+    )
 
 
 #: Promotion chain for the blocked kernel's level counter: when a BFS level
@@ -199,7 +246,7 @@ def distance_rows_csr(
     The row-block substrate of the lazy distance oracle: all ``len(sources)``
     BFS trees advance one level per iteration, with the frontier kept as a
     sparse ``(row, vertex)`` pair list instead of the dense boolean matrix
-    :func:`all_pairs_distances` uses — memory is ``O(block_rows * n)``, not
+    of the matmul step — memory is ``O(block_rows * n)``, not
     ``O(n^2)``.  Rows come back in ``dtype`` (default ``int16``); if a level
     would overflow it, the block promotes to the next wider integer type and
     ``repro_oracle_promotions_total`` is incremented.  Unreachable pairs

@@ -386,11 +386,12 @@ def _drop_adopted(entry: tuple[SharedMemory, object]) -> None:
         pass
 
 
-def _adopted_graph(cache: dict, max_cached: int, descriptor: ShmDescriptor):
+def _adopted_graph(cache: dict, descriptor: ShmDescriptor):
     """The worker's canonical graph for ``descriptor``, LRU-cached.
 
     Re-adopts when the key's segment changed (the parent evicted and
-    republished); evicts least-recently-used entries past ``max_cached``.
+    republished); evicts least-recently-used entries past
+    :data:`DEFAULT_GRAPH_CACHE`.
     """
     from repro.graphs.analysis import adopt_buffers
 
@@ -407,19 +408,17 @@ def _adopted_graph(cache: dict, max_cached: int, descriptor: ShmDescriptor):
         n, views["indptr"], views["indices"], views["distances"]
     )
     cache[descriptor.key] = (shm, graph)
-    while len(cache) > max_cached:
+    while len(cache) > DEFAULT_GRAPH_CACHE:
         _drop_adopted(cache.pop(next(iter(cache))))
     return graph
 
 
-def _solve_adopted(
-    cache: dict, max_cached: int, descriptor: ShmDescriptor, job: tuple
-) -> tuple:
+def _solve_adopted(cache: dict, descriptor: ShmDescriptor, job: tuple) -> tuple:
     """Solve one ``(key, p, engine)`` job on the adopted canonical graph."""
     from repro.labeling.spec import LpSpec
     from repro.reduction.solver import solve_labeling
 
-    graph = _adopted_graph(cache, max_cached, descriptor)
+    graph = _adopted_graph(cache, descriptor)
     key, p, engine = job
     t0 = time.perf_counter()
     result = solve_labeling(graph, LpSpec(p), engine=engine)
@@ -434,9 +433,7 @@ def _solve_adopted(
     )
 
 
-def _probe_adopted(
-    cache: dict, max_cached: int, descriptor: ShmDescriptor
-) -> dict:
+def _probe_adopted(cache: dict, descriptor: ShmDescriptor) -> dict:
     """Diagnostic job: is the worker's matrix really a view into the segment?
 
     ``bench_e15_shm_pool.py``'s zero-copy gate asserts on this: the
@@ -448,7 +445,7 @@ def _probe_adopted(
 
     from repro.graphs.analysis import get_analysis
 
-    graph = _adopted_graph(cache, max_cached, descriptor)
+    graph = _adopted_graph(cache, descriptor)
     dist = get_analysis(graph).distances
     base = dist
     while isinstance(base, np.ndarray):
@@ -464,7 +461,7 @@ def _probe_adopted(
     }
 
 
-def _worker_main(conn, max_cached: int, parent_end=None) -> None:
+def _worker_main(conn, parent_end=None) -> None:
     """Worker-process loop: adopt, solve, reply — until the stop sentinel.
 
     Messages in: ``("job", id, descriptor, (key, p, engine), ctx_row)``,
@@ -502,20 +499,18 @@ def _worker_main(conn, max_cached: int, parent_end=None) -> None:
             spans: tuple = ()
             try:
                 if kind == "probe":
-                    payload = _probe_adopted(cache, max_cached, msg[2])
+                    payload = _probe_adopted(cache, msg[2])
                 else:
                     _, _, descriptor, job, ctx_row = msg
                     if ctx_row is None:
-                        payload = _solve_adopted(
-                            cache, max_cached, descriptor, job
-                        )
+                        payload = _solve_adopted(cache, descriptor, job)
                     else:
                         with TRACER.activate(SpanContext(**ctx_row)):
                             with TRACER.span(
                                 "solve.offload", pid=os.getpid(), key=job[0]
                             ):
                                 payload = _solve_adopted(
-                                    cache, max_cached, descriptor, job
+                                    cache, descriptor, job
                                 )
                         spans = tuple(s.to_json() for s in TRACER.drain())
                 out = ("result", job_id, True, payload, spans)
@@ -598,21 +593,16 @@ class ShmWorkerPool:
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None`` uses the
         platform default.  Both fork and spawn are exercised in the tests.
-    graph_cache:
-        Per-worker adopted-graph LRU size.
+
+    Each worker keeps an LRU of up to :data:`DEFAULT_GRAPH_CACHE` adopted
+    graphs.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        graph_cache: int = DEFAULT_GRAPH_CACHE,
-    ) -> None:
+    def __init__(self, workers: int, start_method: str | None = None) -> None:
         """Spawn the workers and their pipe-handler threads."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.graph_cache = graph_cache
         self._ctx = get_context(start_method)
         self._lock = threading.Lock()
         self._seq = itertools.count()
@@ -655,7 +645,7 @@ class ShmWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.graph_cache, parent_conn),
+            args=(child_conn, parent_conn),
             daemon=True,
             name="shm-pool-worker",
         )

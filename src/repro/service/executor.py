@@ -69,26 +69,20 @@ class SolveExecutor:
     pool_min:
         Fewest exact tasks one :meth:`solve` call must carry to use the
         pool; a batch caller passes 2 so a lone miss skips the hop.
-    start_method:
-        Multiprocessing start method for the pool workers; ``None`` uses
-        the platform default.
+
+    Pool workers use the platform's default multiprocessing start method.
 
     The pool starts on the first pooled call (or an explicit
     :meth:`start`) and lives until :meth:`close`.
     """
 
     def __init__(
-        self,
-        workers: int,
-        offload: bool | None = None,
-        pool_min: int = 1,
-        start_method: str | None = None,
+        self, workers: int, offload: bool | None = None, pool_min: int = 1
     ) -> None:
         """Record the policy; no process starts until a pooled call."""
         self.workers = workers
         self.offload = offload
         self.pool_min = pool_min
-        self.start_method = start_method
         self._lock = threading.Lock()
         self._pool: ShmWorkerPool | None = None
         self._arena: ShmArena | None = None
@@ -103,9 +97,7 @@ class SolveExecutor:
         with self._lock:
             if self._pool is None and self._pooled(self.pool_min):
                 self._arena = ShmArena()
-                self._pool = ShmWorkerPool(
-                    self.workers, start_method=self.start_method
-                )
+                self._pool = ShmWorkerPool(self.workers)
 
     def wait_ready(self, timeout: float | None = 30.0) -> None:
         """Block until every pool worker has started (no-op when inline)."""
@@ -229,7 +221,7 @@ def _run_approx(task: SolveTask) -> tuple[CachedSolve, float]:
         labels=res.labeling.labels,
         span=res.span,
         engine=APPROX_ENGINE,
-        exact=False,
+        exact=res.gap == 0,  # a span at the lower bound is optimal
         gap=res.gap,
     )
     return entry, res.seconds

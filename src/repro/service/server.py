@@ -106,6 +106,18 @@ _TIER_SECONDS = {
 }
 
 
+#: Fraction of the queue's high-water mark past which ``auto`` requests
+#: degrade to approx.
+APPROX_PRESSURE = 0.5
+
+#: ``auto`` instances above this vertex count always go approx — an exact
+#: engine run on them would monopolize a worker.
+LARGE_N = 256
+
+#: ``auto`` requests with less remaining budget than this go approx.
+MIN_EXACT_DEADLINE_MS = 250
+
+
 @dataclass
 class QosRouter:
     """Per-request quality-of-service tier selection under pressure.
@@ -125,13 +137,6 @@ class QosRouter:
 
     #: The serving queue's high-water mark (the 429 threshold).
     queue_size: int
-    #: Fraction of ``queue_size`` past which ``auto`` degrades to approx.
-    approx_pressure: float = 0.5
-    #: ``auto`` instances above this vertex count always go approx — an
-    #: exact engine run on them would monopolize a worker.
-    large_n: int = 256
-    #: ``auto`` requests with less remaining budget than this go approx.
-    min_exact_deadline_ms: int = 250
     exact: int = 0
     approx: int = 0
     #: ``auto`` requests downgraded to approx (subset of ``approx``).
@@ -145,7 +150,7 @@ class QosRouter:
     @property
     def approx_depth(self) -> int:
         """Queue depth at which ``auto`` requests start degrading."""
-        return max(1, int(self.approx_pressure * self.queue_size))
+        return max(1, int(APPROX_PRESSURE * self.queue_size))
 
     def route(self, request: SolveRequest, queue_depth: int) -> str:
         """Pick the answering tier for one request (and count the decision)."""
@@ -154,10 +159,10 @@ class QosRouter:
         else:
             downgraded = (
                 queue_depth >= self.approx_depth
-                or request.graph.n > self.large_n
+                or request.graph.n > LARGE_N
                 or (
                     request.deadline_ms is not None
-                    and request.deadline_ms < self.min_exact_deadline_ms
+                    and request.deadline_ms < MIN_EXACT_DEADLINE_MS
                 )
             )
             tier = "approx" if downgraded else "exact"
@@ -185,8 +190,8 @@ class QosRouter:
                 "degraded": self.degraded,
                 "expired": self.expired,
                 "approx_depth": self.approx_depth,
-                "large_n": self.large_n,
-                "min_exact_deadline_ms": self.min_exact_deadline_ms,
+                "large_n": LARGE_N,
+                "min_exact_deadline_ms": MIN_EXACT_DEADLINE_MS,
             }
 
 
@@ -335,9 +340,11 @@ class ConcurrentLabelingService:
         may run on more than one CPU (:func:`effective_cpu_count`, which
         respects container/affinity masks) — on a single core the pool
         would add process-hop overhead and parallelize nothing.
-    start_method:
-        Multiprocessing start method for the pool workers (``"fork"``,
-        ``"spawn"``, ...); ``None`` uses the platform default.
+
+    ``auto`` requests are routed by a :class:`QosRouter` over this
+    server's queue; its thresholds are the module constants
+    :data:`APPROX_PRESSURE`, :data:`LARGE_N` and
+    :data:`MIN_EXACT_DEADLINE_MS`.
     """
 
     def __init__(
@@ -347,8 +354,6 @@ class ConcurrentLabelingService:
         queue_size: int = DEFAULT_QUEUE_SIZE,
         block: bool = True,
         offload: bool | None = None,
-        start_method: str | None = None,
-        router: QosRouter | None = None,
     ) -> None:
         """Build the queue, cache-backed service, and start the workers."""
         if workers < 1:
@@ -356,9 +361,8 @@ class ConcurrentLabelingService:
         if queue_size < 1:
             raise ReproError(f"queue_size must be >= 1, got {queue_size}")
         self.service = service if service is not None else LabelingService()
-        #: Tier selection policy; pass a pre-configured :class:`QosRouter`
-        #: to tune the degradation thresholds.
-        self.router = router if router is not None else QosRouter(queue_size)
+        #: Tier selection policy for ``auto`` requests.
+        self.router = QosRouter(queue_size)
         self.workers = workers
         self.block = block
         self.stats = ServerStats()
@@ -371,9 +375,7 @@ class ConcurrentLabelingService:
         self._settled = threading.Condition(self._lock)
         self._submitting = 0
         self._closed = False
-        self.executor = SolveExecutor(
-            workers, offload=offload, start_method=start_method
-        )
+        self.executor = SolveExecutor(workers, offload=offload)
         # The pool forks/spawns *before* the worker threads start, so the
         # child processes never inherit a half-started thread's state.
         self.executor.start()

@@ -19,7 +19,6 @@ from repro.dynamic import (
     DeltaEngine,
     affected_sources,
     apply_delta,
-    distance_rows,
     full_apsp_refresh_count,
     refresh_analysis,
     relax_insert,
@@ -31,6 +30,7 @@ from repro.graphs.graph import Graph, MUTATION_LOG_CAPACITY, Mutation
 from repro.graphs.traversal import (
     all_pairs_distances_reference,
     apsp_run_count,
+    distance_rows,
 )
 from repro.harness.workloads import DYNAMIC, apply_churn_op, churn_stream
 from repro.labeling.spec import L21
@@ -215,9 +215,14 @@ class TestDeltaEngineStreams:
         assert np.array_equal(dist, all_pairs_distances_reference(g))
         assert dist[0, 5] == -1
 
-    def test_over_threshold_delete_falls_back_and_stays_exact(self):
+    def test_over_threshold_delete_falls_back_and_stays_exact(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.dynamic.engine.DELETE_FALLBACK_FRACTION", 0.1
+        )
         g = gen.complete_graph(8)  # every row touches every edge
-        engine = DeltaEngine(g, delete_fallback_fraction=0.1)
+        engine = DeltaEngine(g)
         before = full_apsp_refresh_count()
         g.remove_edge(0, 1)
         _assert_engine_matches(engine, g)

@@ -3,16 +3,22 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DisconnectedGraphError
 from repro.graphs import generators as gen
+from repro.graphs import traversal
 from repro.graphs.graph import Graph
+from repro.graphs.operations import disjoint_union
 from repro.graphs.traversal import (
     UNREACHABLE,
     all_pairs_distances,
+    all_pairs_distances_reference,
     bfs_distances,
     connected_components,
     diameter,
+    distance_rows,
     eccentricity,
     is_connected,
     radius,
@@ -58,6 +64,70 @@ class TestApsp:
             for u in range(g.n):
                 for v in range(g.n):
                     assert mine[u, v] == oracle[u][v]
+
+
+def _boundary_graph(family: str, n: int, seed: int) -> Graph:
+    """One graph of ``family`` on exactly ``n`` vertices."""
+    if family == "path":
+        return gen.path_graph(n)
+    if family == "cycle":
+        return gen.cycle_graph(n)
+    if family == "tree":
+        return gen.random_tree(n, seed=seed)
+    if family == "dense_gnp":
+        return gen.random_gnp(n, 0.6, seed=seed)
+    if family == "split":
+        return gen.random_split_graph(n // 3, n - n // 3, 0.4, seed=seed)
+    half = n // 2  # disconnected: a tree beside a sparse G(n, p)
+    return disjoint_union(
+        gen.random_tree(half, seed=seed), gen.random_gnp(n - half, 0.05, seed)
+    )
+
+
+class TestDistanceRowsKernelBoundary:
+    """``distance_rows`` on both sides of ``MATMUL_ROWS_LIMIT``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(
+            ["path", "cycle", "tree", "dense_gnp", "split", "disconnected"]
+        ),
+        n=st.integers(62, 130),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.int16, np.int64]),
+        data=st.data(),
+    )
+    def test_rows_match_reference(self, family, n, seed, dtype, data):
+        g = _boundary_graph(family, n, seed)
+        sources = np.array(
+            data.draw(
+                st.lists(st.integers(0, n - 1), min_size=0, max_size=n)
+            ),
+            dtype=np.int64,
+        )
+        rows = distance_rows(g.adjacency_matrix(dtype=np.bool_), sources, dtype)
+        assert rows.dtype == dtype and rows.shape == (len(sources), n)
+        ref = all_pairs_distances_reference(g)[sources].astype(dtype)
+        assert np.array_equal(rows, ref)
+
+    def test_large_path_apsp_never_takes_the_matmul_step(self, monkeypatch):
+        g = gen.path_graph(200)
+        csr_calls = []
+        real_csr = traversal.distance_rows_csr
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("matmul step taken at n = 200")
+
+        def spy_csr(*args, **kwargs):
+            csr_calls.append(args[2].size)
+            return real_csr(*args, **kwargs)
+
+        monkeypatch.setattr(traversal, "_matmul_rows", no_matmul)
+        monkeypatch.setattr(traversal, "distance_rows_csr", spy_csr)
+        dist = all_pairs_distances(g)
+        assert csr_calls == [200]
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, all_pairs_distances_reference(g))
 
 
 class TestComponents:

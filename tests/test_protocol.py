@@ -141,9 +141,20 @@ def test_explicit_approx_tier_answers_with_certificate():
     )
     assert resp.tier == "approx"
     assert resp.gap is not None and resp.gap >= 0
-    assert not resp.exact
+    assert resp.exact == (resp.gap == 0)
     back = SolveResponse.from_json(json.loads(json.dumps(resp.to_json())))
     assert back == resp
+
+
+def test_approx_answer_at_the_lower_bound_is_exact():
+    # C5's approx span meets the lower bound (gap 0): provably optimal;
+    # K5's does not, so it must not claim exactness
+    svc = LabelingService()
+    at_bound = svc.submit(SolveRequest(gen.cycle_graph(5), L21, tier="approx"))
+    assert at_bound.tier == "approx" and at_bound.gap == 0
+    assert at_bound.exact
+    above = svc.submit(SolveRequest(gen.complete_graph(5), L21, tier="approx"))
+    assert above.gap > 0 and not above.exact
 
 
 def test_response_roundtrip_from_live_solve():
